@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -12,8 +13,11 @@ from indetstr import (
     FeasibleArrayError,
     InferenceState,
     brute_force_lex_least,
+    compare_strings,
     compute_prefix_table,
     enumerate_feasible,
+    format_array,
+    format_string,
     gen_random_feasible,
     infer,
     infer_with_trace,
@@ -36,6 +40,20 @@ GOLDEN_TRACE_50210 = [
     "forbid b at 1,5",
     "fill c at 5",
 ]
+
+# SHA-256, per length n, over every feasible array of that length in
+# enumeration order: the array, its trace v1 lines and the inferred string,
+# one per line, each array's block ended by an empty line.
+WALK_DIGESTS = {
+    0: "75a11da44c802486bc6f65640aa48a730f0f684c5c07a42ba3cd1735eb3fb070",
+    1: "4f2c8da52aac60ad375102c9190e6c0c1e1f57772c0aebbbb1d0ef92af2d7eac",
+    2: "56419c02fd68cd50b5dc604dcc0c2b45d578b3f87273b662bc0cc15e7b20d9cf",
+    3: "b1771b17c16a1718ca6d42267844cd5c449f04258d59eb2e73366ec3d582cc23",
+    4: "5ebd760b004e287622f5520c1cc622cec64089e9fdc406e58f78e653a6988766",
+    5: "114eea3ce4371a9a05ac060d74ec353ec486bc3b1a08176347920133debdc367",
+    6: "b68ce321c996aba5349fc49a8b754041331af2d8d9c094be1ce2c4c7c42ef9f9",
+    7: "864527d8841593777f7227024e24ff90487cd750013da1c666b63174d00e82bc",
+}
 
 
 class TestGoldenRuns:
@@ -78,6 +96,30 @@ class TestGoldenRuns:
             "edge (2,3)",
             "skip",
         ]
+
+
+class TestPinnedOutput:
+    def test_exhaustive_digests(self):
+        # any change to a string or a trace line shows up here, at the
+        # smallest n where it happens
+        for n, want in WALK_DIGESTS.items():
+            h = hashlib.sha256()
+            for y in enumerate_feasible(n):
+                x, trace = infer_with_trace(y)
+                lines = [format_array(y), *trace, format_string(x), ""]
+                h.update("\n".join(lines).encode())
+            assert h.hexdigest() == want, f"walk output changed at n = {n}"
+
+    def test_letter_not_pruned(self):
+        # the walk never drops a symbol: position 4 of 6 1 4 3 0 0 keeps
+        # {a,b,c,d} although the smaller {a,b,c} also realizes the array.
+        # Kept as a characterization, so a pruning pass is a visible change.
+        y = (6, 1, 4, 3, 0, 0)
+        x = infer(y)
+        assert x == s("{a,b} {a,c} {b,d} {a,b,c,d} {c,d} {c,d}")
+        pruned = x[:3] + ((1, 2, 3),) + x[4:]
+        assert compute_prefix_table(pruned) == y
+        assert compare_strings(pruned, x) < 0
 
 
 class TestStateHelpers:
