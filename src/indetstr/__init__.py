@@ -38,7 +38,7 @@ from .graph import (
     positive_components,
     regular_string_from_components,
 )
-from .inference import InferenceState, infer, infer_with_trace, least, update_forbidden
+from .inference import infer, infer_with_trace
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -56,7 +56,6 @@ __all__ = [
     "FeasibleArray",
     "FeasibleArrayError",
     "IndetString",
-    "InferenceState",
     "Letter",
     "ParseError",
     "PrefixGraph",
@@ -79,7 +78,6 @@ __all__ = [
     "infer_with_trace",
     "is_regular",
     "isolated_positive_vertices",
-    "least",
     "letter",
     "letters_match",
     "parse_array",
@@ -88,7 +86,6 @@ __all__ = [
     "regular_string_from_components",
     "run_bench",
     "symbols_used",
-    "update_forbidden",
     "validate_feasible",
     "verify_prefix_table",
 ]

@@ -49,6 +49,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.string == args.array == "-":
+        print("error: stdin can feed only one argument", file=sys.stderr)
+        return 2
     x = core.parse_string(_read(args.string))
     y = core.parse_array(_read(args.array))
     check = core.verify_prefix_table(x, y)
@@ -107,6 +110,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     text = bench.run_bench(cfg)
     if cfg.out is None:
         sys.stdout.write(text)
+    if len(cfg.lengths) >= 3:  # lengths are strictly ascending
+        print(f"log-log slope: {bench.growth_trend(text):.3f}", file=sys.stderr)
     return 0
 
 
@@ -132,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="verify that an array is the prefix table of a string")
     sp.add_argument("string", help="string text, or - for stdin")
-    sp.add_argument("array", help="array")
+    sp.add_argument("array", help="array, or - for stdin")
     sp.add_argument(
         "--oracle",
         action="store_true",

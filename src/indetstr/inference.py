@@ -1,19 +1,24 @@
 """Construct a least indeterminate string realizing a feasible array.
 
+Letters are int bitmasks while the walk runs (bit s is symbol s), and so is
+ban[p], the symbols forbidden at p.  One writer keeps the invariant that
+ban[p] is the OR of the letters of p's negative neighbours: every symbol
+that lands at a position is banned at once at each of its negative
+neighbours, which keeps all forced mismatches intact.
+
 The positive edges of the prefix graph are walked in ascending order.  At
 each edge the two endpoint letters must come to share a symbol: if they
 already do the edge is skipped; otherwise the candidate symbols (those
-present at exactly one endpoint, smallest first) are tried against the
-forbidden table.  When every candidate is blocked, the smallest existing
-symbol forbidden at neither endpoint is placed on both, and only when there
-is none is a fresh symbol opened.  Whenever a symbol lands at a position it
-becomes forbidden at every negative neighbour of that position, which keeps
-all forced mismatches intact.  Positions never touched by a positive edge
-are then filled, each with the smallest symbol absent from its negative
-neighbourhood.  A last pass visits positions in ascending order and gives
-each letter every symbol below its largest one that no negative neighbour
-holds, since under the letter order each such symbol makes the letter
-smaller; this never changes the alphabet and breaks no edge.
+present at exactly one endpoint, smallest first) are tried against ban at
+the other endpoint.  When every candidate is blocked, the smallest existing
+symbol banned at neither endpoint is placed on both, and only when there is
+none is a fresh symbol opened.  Positions never touched by a positive edge
+are then filled, each with the smallest symbol not banned there.  A last
+pass visits positions in ascending order and gives each letter every symbol
+below its largest one that is not banned there, since under the letter
+order each such symbol makes the letter smaller; this never changes the
+alphabet and breaks no edge.  A filled letter gains nothing, because every
+smaller symbol was banned at it when it was filled and bans only grow.
 
 What the result guarantees: it realizes the array on symbols 1..sigma
 densely; no fresh symbol is opened while an existing one is admissible at
@@ -28,140 +33,100 @@ problem, so the walk stays greedy and polynomial rather than exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import IndetString, render_symbol, validate_feasible
-from .graph import PrefixGraph, build_prefix_graph
+from .core import FeasibleArray, IndetString, render_symbol, validate_feasible
+from .graph import build_prefix_graph
 
 Trace = list[str]
 
 
-@dataclass
-class InferenceState:
-    """Mutable working state of one inference run."""
-
-    graph: PrefixGraph
-    letters: list[set[int]]  # per position, index 0 unused
-    forbidden: list[set[int]]  # per position, symbols banned by neighbours
-    lambda_max: int = 0
-
-    @classmethod
-    def for_array(cls, y: Sequence[int]) -> "InferenceState":
-        g = build_prefix_graph(y)
-        return cls(
-            graph=g,
-            letters=[set() for _ in range(g.n + 1)],
-            forbidden=[set() for _ in range(g.n + 1)],
-        )
+def _symbols(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
-def update_forbidden(
-    h: int, sym: int, state: InferenceState, trace: Trace | None = None
-) -> None:
-    """Ban sym at every negative neighbour of h.  Idempotent."""
-    neighbours = state.graph.neg_adj[h]
-    for j in neighbours:
-        state.forbidden[j].add(sym)
-    if trace is not None and neighbours:
-        trace.append(
-            f"forbid {render_symbol(sym)} at {','.join(map(str, neighbours))}"
-        )
+def _name(bit: int) -> str:
+    return render_symbol(bit.bit_length() - 1)
 
 
-def _neighbour_symbols(i: int, state: InferenceState) -> set[int]:
-    """Every symbol held by a negative neighbour of i."""
-    blocked: set[int] = set()
-    for j in state.graph.neg_adj[i]:
-        blocked |= state.letters[j]
-    return blocked
+def _run(y: FeasibleArray, trace: Trace | None) -> IndetString:
+    g = build_prefix_graph(y)
+    neg_adj = g.neg_adj
+    letters = [0] * (g.n + 1)  # index 0 unused
+    ban = [0] * (g.n + 1)  # ban[p] == OR of letters[q], q a negative neighbour
 
+    def put(p: int, bits: int) -> None:
+        letters[p] |= bits
+        for q in neg_adj[p]:
+            ban[q] |= bits
 
-def least(i: int, state: InferenceState) -> int:
-    """Smallest symbol not present at any negative neighbour of i.
+    def forbid_line(p: int, bit: int) -> None:
+        if neg_adj[p]:
+            trace.append(f"forbid {_name(bit)} at {','.join(map(str, neg_adj[p]))}")
 
-    May be lambda_max + 1; the caller raises lambda_max in that case.
-    """
-    blocked = _neighbour_symbols(i, state)
-    sym = 1
-    while sym in blocked:
-        sym += 1
-    return sym
+    def accept(p: int, bit: int) -> None:
+        put(p, bit)
+        if trace is not None:
+            trace.append(f"accept {_name(bit)} at {p}")
+            forbid_line(p, bit)
 
-
-def _run(state: InferenceState, trace: Trace | None) -> IndetString:
-    letters = state.letters
-    forbidden = state.forbidden
-    for i, j in state.graph.pos_edges:
+    sigma = 0
+    for i, j in g.pos_edges:
         if trace is not None:
             trace.append(f"edge ({i},{j})")
-        if not letters[i].isdisjoint(letters[j]):
+        li, lj = letters[i], letters[j]
+        if li & lj:
             if trace is not None:
                 trace.append("skip")
             continue
-        candidates = sorted(
-            [(s, j) for s in letters[i]] + [(s, i) for s in letters[j]]
-        )
-        # a symbol on both sides would contradict the disjointness just checked
-        assert all(a[0] != b[0] for a, b in zip(candidates, candidates[1:]))
-        placed = False
-        for sym, h in candidates:
-            if sym in forbidden[h]:
-                if trace is not None:
-                    trace.append(f"reject {render_symbol(sym)} at {h}")
-                continue
-            letters[h].add(sym)
-            if trace is not None:
-                trace.append(f"accept {render_symbol(sym)} at {h}")
-            update_forbidden(h, sym, state, trace)
-            placed = True
-            break
-        if placed:
+        # a symbol at one endpoint is a candidate for the other
+        fits = (lj & ~ban[i]) | (li & ~ban[j])
+        bit = fits & -fits
+        if trace is not None:
+            for sym in _symbols((li | lj) & (bit - 1)):
+                trace.append(f"reject {render_symbol(sym)} at {j if li >> sym & 1 else i}")
+        if bit:
+            accept(j if bit & li else i, bit)
             continue
         # reuse the smallest existing symbol admissible at both endpoints
-        for sym in range(1, state.lambda_max + 1):
-            if sym not in forbidden[i] and sym not in forbidden[j]:
-                for h in (i, j):
-                    letters[h].add(sym)
-                    if trace is not None:
-                        trace.append(f"accept {render_symbol(sym)} at {h}")
-                    update_forbidden(h, sym, state, trace)
-                break
-        else:
-            state.lambda_max += 1
-            sym = state.lambda_max
-            letters[i].add(sym)
-            letters[j].add(sym)
-            if trace is not None:
-                trace.append(f"new {render_symbol(sym)} at {i},{j}")
-            update_forbidden(i, sym, state, trace)
-            update_forbidden(j, sym, state, trace)
-    touched: list[int] = []
-    for i in range(1, state.graph.n + 1):
-        if letters[i]:
-            touched.append(i)
+        free = ((2 << sigma) - 2) & ~(ban[i] | ban[j])
+        if free:
+            bit = free & -free
+            accept(i, bit)
+            accept(j, bit)
             continue
-        sym = least(i, state)
-        state.lambda_max = max(state.lambda_max, sym)
-        letters[i].add(sym)
+        sigma += 1
+        bit = 1 << sigma
+        put(i, bit)
+        put(j, bit)
         if trace is not None:
-            trace.append(f"fill {render_symbol(sym)} at {i}")
+            trace.append(f"new {_name(bit)} at {i},{j}")
+            forbid_line(i, bit)
+            forbid_line(j, bit)
+    for p in range(1, g.n + 1):
+        if not letters[p]:
+            taken = ban[p] | 1
+            bit = (taken + 1) & ~taken
+            put(p, bit)
+            if trace is not None:
+                trace.append(f"fill {_name(bit)} at {p}")
     # complete each letter in the letter order: any symbol below its largest
-    # one makes it smaller, so add every such symbol no negative neighbour
-    # holds.  A filled letter is complete already: its neighbours held every
-    # smaller symbol when it was filled, and letters only grow.
-    for p in touched:
+    # one makes it smaller, so add every such symbol that is not banned
+    for p in range(1, g.n + 1):
         lp = letters[p]
-        top = max(lp)
-        if len(lp) == top:
-            continue
-        blocked = _neighbour_symbols(p, state)
-        for sym in range(1, top):
-            if sym not in lp and sym not in blocked:
-                lp.add(sym)
-                if trace is not None:
+        add = ((1 << (lp.bit_length() - 1)) - 2) & ~lp & ~ban[p]
+        if add:
+            put(p, add)
+            if trace is not None:
+                for sym in _symbols(add):
                     trace.append(f"fill {render_symbol(sym)} at {p}")
-    return tuple(tuple(sorted(ls)) for ls in letters[1:])
+    return tuple(_symbols(lp) for lp in letters[1:])
 
 
 def infer(y: Sequence[int]) -> IndetString:
@@ -170,8 +135,7 @@ def infer(y: Sequence[int]) -> IndetString:
     Exact (lex-least on a minimum alphabet) for every y of length <= 4; see
     the module docstring for what holds beyond that.
     """
-    state = InferenceState.for_array(validate_feasible(y))
-    return _run(state, None)
+    return _run(validate_feasible(y), None)
 
 
 def infer_with_trace(y: Sequence[int]) -> tuple[IndetString, Trace]:
@@ -181,6 +145,5 @@ def infer_with_trace(y: Sequence[int]) -> tuple[IndetString, Trace]:
     p', 'new s at i,j', 'forbid s at p1,p2,...', 'fill s at p'.
     """
     trace: Trace = []
-    state = InferenceState.for_array(validate_feasible(y))
-    x = _run(state, trace)
+    x = _run(validate_feasible(y), trace)
     return x, trace

@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from indetstr import cli
+from indetstr import cli, growth_trend
+from indetstr.bench import CSV_HEADER
 from test_inference import GOLDEN_TRACE_50210
 
 
@@ -87,6 +88,18 @@ class TestVerify:
             "pass\nlex-least differs: a b {a,b} b b (alphabet size 2)\n"
         )
 
+    def test_stdin_feeds_one_argument_only(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a b a {a,b} c\n"))
+        assert run("verify", "-", "-") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: stdin can feed only one argument\n"
+
+    def test_array_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("5 0 2 1 0\n"))
+        assert run("verify", "a b a {a,b} c", "-") == 0
+        assert capsys.readouterr().out == "pass\n"
+
     def test_oracle_skipped_beyond_budget(self, capsys):
         assert run("verify", "a b b b b b", "6 0 0 0 0 0", "--oracle") == 0
         out = capsys.readouterr().out.splitlines()
@@ -143,15 +156,26 @@ class TestGen:
 class TestBench:
     def test_stdout(self, capsys):
         assert run("bench", "--lengths", "4,8,16", "--trials", "2", "--seed", "3") == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].startswith("n,trials,mean_us")
+        out, err = capsys.readouterr()
+        lines = out.strip().splitlines()
+        assert lines[0] == CSV_HEADER
         assert len(lines) == 4
+        assert err.startswith("log-log slope: ") and err.endswith("\n")
+        assert growth_trend(out) == pytest.approx(float(err.split(":")[1]), abs=1e-3)
 
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "r.csv"
         assert run("bench", "--lengths", "3,5,7", "--trials", "1", "--out", str(out)) == 0
-        assert capsys.readouterr().out == ""
-        assert out.read_text().startswith("n,trials,mean_us")
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert out.read_text().startswith(CSV_HEADER + "\n")
+        assert err.startswith("log-log slope: ")
+
+    def test_no_slope_below_three_lengths(self, capsys):
+        assert run("bench", "--lengths", "4,8", "--trials", "1") == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(CSV_HEADER + "\n")
+        assert err == ""
 
     def test_bad_lengths(self, capsys):
         assert run("bench", "--lengths", "10:5:1") == 1

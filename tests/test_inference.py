@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from conftest import feasible_arrays, s
 from indetstr import (
     FeasibleArrayError,
-    InferenceState,
     brute_force_lex_least,
     compare_strings,
     compute_prefix_table,
@@ -22,9 +21,7 @@ from indetstr import (
     infer,
     infer_with_trace,
     is_regular,
-    least,
     symbols_used,
-    update_forbidden,
 )
 
 GOLDEN_TRACE_50210 = [
@@ -120,32 +117,6 @@ class TestPinnedOutput:
         pruned = x[:3] + ((1, 2, 3),) + x[4:]
         assert compute_prefix_table(pruned) == y
         assert compare_strings(pruned, x) < 0
-
-
-class TestStateHelpers:
-    def test_update_forbidden_hits_negative_neighbours(self):
-        st = InferenceState.for_array((5, 0, 2, 1, 0))
-        update_forbidden(1, 7, st)
-        assert st.forbidden[2] == {7}
-        assert st.forbidden[5] == {7}
-        assert st.forbidden[3] == set()
-
-    def test_update_forbidden_trace_line(self):
-        st = InferenceState.for_array((5, 0, 2, 1, 0))
-        trace: list[str] = []
-        update_forbidden(1, 1, st, trace)
-        assert trace == ["forbid a at 2,5"]
-        update_forbidden(4, 1, st, trace)  # position 4 has no negative edges
-        assert trace == ["forbid a at 2,5"]
-
-    def test_least_skips_neighbour_symbols(self):
-        st = InferenceState.for_array((5, 0, 2, 1, 0))
-        st.letters[1] = {1}
-        st.letters[2] = {2}
-        st.letters[3] = {1}
-        # negative neighbours of 5 are 1, 2, 3 holding {a, b}
-        assert least(5, st) == 3
-        assert least(4, st) == 1
 
 
 class TestRoundTrip:
