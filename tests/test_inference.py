@@ -40,7 +40,7 @@ GOLDEN_TRACE_50210 = [
 
 # SHA-256, per length n, over every feasible array of that length in
 # enumeration order: the array, its trace v1 lines and the inferred string,
-# one per line, each array's block ended by an empty line.
+# each as one newline-terminated line.
 WALK_DIGESTS = {
     0: "75a11da44c802486bc6f65640aa48a730f0f684c5c07a42ba3cd1735eb3fb070",
     1: "4f2c8da52aac60ad375102c9190e6c0c1e1f57772c0aebbbb1d0ef92af2d7eac",
