@@ -15,8 +15,6 @@ from .core import (
     ParseError,
     Symbol,
     TableCheck,
-    compare_letters,
-    compare_strings,
     compute_prefix_table,
     format_array,
     format_string,
@@ -64,8 +62,6 @@ __all__ = [
     "brute_force_is_regular",
     "brute_force_lex_least",
     "build_prefix_graph",
-    "compare_letters",
-    "compare_strings",
     "compute_prefix_table",
     "edge_label_string",
     "enumerate_feasible",

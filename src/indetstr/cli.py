@@ -31,7 +31,7 @@ def cmd_pt(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    y = core.validate_feasible(core.parse_array(_read(args.array)))
+    y = core.parse_array(_read(args.array))
     if args.trace:
         x, trace = inference.infer_with_trace(y)
         for line in trace:
@@ -77,15 +77,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    y = core.validate_feasible(core.parse_array(_read(args.array)))
-    g = graph.build_prefix_graph(y)
+    g = graph.build_prefix_graph(core.parse_array(_read(args.array)))
     _emit(graph.export_graph(g, fmt=args.format, sign=args.sign))
     return 0
 
 
 def cmd_regular(args: argparse.Namespace) -> int:
-    y = core.validate_feasible(core.parse_array(_read(args.array)))
-    ok, labels = graph.is_regular(y)
+    ok, labels = graph.is_regular(core.parse_array(_read(args.array)))
     if ok:
         print("regular")
     else:

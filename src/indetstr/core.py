@@ -7,7 +7,10 @@ strings from regular ones (every letter a single symbol).
 
 Symbols are positive integer ranks.  Ranks 1..26 render as 'a'..'z', larger
 ranks render as decimal integers.  Letters are kept as strictly increasing
-tuples so that matching and comparison are single merge scans.
+tuples, so matching is a single merge scan and the letter order is Python's
+tuple order: a strict prefix comes first, otherwise the smaller symbol at the
+first difference decides, so {a,b,w,x,y,z} precedes {a,c}.  Strings, as
+tuples of letters, are ordered the same way.
 
 External indexing is 1-based everywhere (reports, diagnostics, exports);
 internally plain 0-based sequences are used.
@@ -65,31 +68,6 @@ def letters_match(a: Letter, b: Letter) -> bool:
         else:
             j += 1
     return False
-
-
-def compare_letters(a: Letter, b: Letter) -> int:
-    """Total order on letters: -1, 0 or 1.
-
-    A strict prefix comes first; otherwise the smaller symbol at the first
-    difference decides.  So {a,b,w,x,y,z} precedes {a,c}.
-    """
-    for s, t in zip(a, b):
-        if s != t:
-            return -1 if s < t else 1
-    if len(a) == len(b):
-        return 0
-    return -1 if len(a) < len(b) else 1
-
-
-def compare_strings(x1: Sequence[Letter], x2: Sequence[Letter]) -> int:
-    """Positionwise lift of the letter order, strict prefixes first."""
-    for a, b in zip(x1, x2):
-        c = compare_letters(a, b)
-        if c != 0:
-            return c
-    if len(x1) == len(x2):
-        return 0
-    return -1 if len(x1) < len(x2) else 1
 
 
 def compute_prefix_table(x: Sequence[Letter]) -> FeasibleArray:

@@ -6,6 +6,10 @@ staircases: entry y[i] contributes (h, i+h-1) for h = 1..y[i]; the negative
 edge (1+y[i], i+y[i]) exists exactly when i+y[i] <= n.  Any string realizes
 the array iff it matches along every positive edge and mismatches along every
 negative edge, which is what both builders below exploit.
+
+build_prefix_graph is the one feasibility check on the graph's paths: infer,
+is_regular and the graph command build the graph from the array here, so
+each raises FeasibleArrayError for an infeasible array.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ class PrefixGraph:
 
 
 def build_prefix_graph(y: Sequence[int]) -> PrefixGraph:
+    """The prefix graph of y.  Raises FeasibleArrayError when y is infeasible."""
+    y = validate_feasible(y)
     n = len(y)
     pos: list[Edge] = []
     neg: list[Edge] = []
@@ -42,14 +48,11 @@ def build_prefix_graph(y: Sequence[int]) -> PrefixGraph:
     pos.sort()
     neg.sort()
     adj: list[list[int]] = [[] for _ in range(n + 1)]
+    # neg is in (u, v) order, so each adjacency list fills in ascending order
     for u, v in neg:
         adj[u].append(v)
         adj[v].append(u)
-    for lst in adj:
-        lst.sort()
-    g = PrefixGraph(n, tuple(pos), tuple(neg), tuple(tuple(l) for l in adj))
-    assert set(g.pos_edges).isdisjoint(g.neg_edges)
-    return g
+    return PrefixGraph(n, tuple(pos), tuple(neg), tuple(tuple(l) for l in adj))
 
 
 class _DisjointSet:
@@ -89,9 +92,10 @@ def is_regular(y: Sequence[int]) -> tuple[bool, tuple[int, ...]]:
 
     Positive edges force equality of regular letters, so each positive
     component carries one symbol; y is regular exactly when no negative edge
-    has both ends in the same component.
+    has both ends in the same component.  Raises FeasibleArrayError (from
+    build_prefix_graph) when y is infeasible.
     """
-    g = build_prefix_graph(validate_feasible(y))
+    g = build_prefix_graph(y)
     labels = positive_components(g)
     ok = all(labels[u] != labels[v] for u, v in g.neg_edges)
     return ok, labels
@@ -175,9 +179,9 @@ def export_graph(g: PrefixGraph, fmt: str = "dot", sign: str = "both") -> str:
     if fmt == "json":
         doc: dict = {"n": g.n}
         if want_pos:
-            doc["pos"] = [list(e) for e in g.pos_edges]
+            doc["pos"] = g.pos_edges
         if want_neg:
-            doc["neg"] = [list(e) for e in g.neg_edges]
+            doc["neg"] = g.neg_edges
         return json.dumps(doc, separators=(",", ":"))
     if fmt == "dot":
         lines = ["graph prefix_graph {"]

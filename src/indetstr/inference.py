@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import FeasibleArray, IndetString, render_symbol, validate_feasible
+from .core import IndetString, render_symbol
 from .graph import build_prefix_graph
 
 Trace = list[str]
@@ -55,7 +55,7 @@ def _name(bit: int) -> str:
     return render_symbol(bit.bit_length() - 1)
 
 
-def _run(y: FeasibleArray, trace: Trace | None) -> IndetString:
+def _run(y: Sequence[int], trace: Trace | None) -> IndetString:
     g = build_prefix_graph(y)
     neg_adj = g.neg_adj
     letters = [0] * (g.n + 1)  # index 0 unused
@@ -135,7 +135,7 @@ def infer(y: Sequence[int]) -> IndetString:
     Exact (lex-least on a minimum alphabet) for every y of length <= 4; see
     the module docstring for what holds beyond that.
     """
-    return _run(validate_feasible(y), None)
+    return _run(y, None)
 
 
 def infer_with_trace(y: Sequence[int]) -> tuple[IndetString, Trace]:
@@ -145,5 +145,5 @@ def infer_with_trace(y: Sequence[int]) -> tuple[IndetString, Trace]:
     p', 'new s at i,j', 'forbid s at p1,p2,...', 'fill s at p'.
     """
     trace: Trace = []
-    x = _run(validate_feasible(y), trace)
+    x = _run(y, trace)
     return x, trace

@@ -15,7 +15,6 @@ from typing import Iterator, Sequence
 from .core import (
     FeasibleArray,
     IndetString,
-    compare_strings,
     compute_prefix_table,
     validate_feasible,
 )
@@ -88,7 +87,7 @@ def brute_force_lex_least(
                     f"candidate budget {budget.max_candidates} exhausted"
                 )
             if compute_prefix_table(cand) == y:
-                if best is None or compare_strings(cand, best) < 0:
+                if best is None or cand < best:
                     best = cand
         if best is not None:
             return best, sigma

@@ -122,6 +122,11 @@ class TestGraph:
         assert "1 -- 3;" in out
         assert "3 -- 5 [style=dashed];" in out
 
+    def test_infeasible(self, capsys):
+        assert run("graph", "5 0 2 3 0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "y[4] = 3" in err
+
     def test_bad_format_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("graph", "5 0 2 1 0", "--format", "xml")
@@ -136,6 +141,11 @@ class TestRegular:
     def test_not_regular(self, capsys):
         assert run("regular", "5 0 2 1 0") == 0
         assert capsys.readouterr().out == "indeterminate-only (components: 2)\n"
+
+    def test_infeasible(self, capsys):
+        assert run("regular", "5 0 2 3 0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "y[4] = 3" in err
 
 
 class TestGen:

@@ -12,8 +12,6 @@ from conftest import feasible_arrays, indet_strings, regular_strings, s
 from indetstr import (
     FeasibleArrayError,
     ParseError,
-    compare_letters,
-    compare_strings,
     compute_prefix_table,
     format_array,
     format_string,
@@ -82,18 +80,28 @@ class TestLetterBasics:
         assert letters_match(a, b) == letters_match(b, a)
 
 
+def declared_less(a, b):
+    """The order as the model states it, element by element: a strict prefix
+    comes first, otherwise the smaller element at the first difference."""
+    for s, t in zip(a, b):
+        if s != t:
+            return s < t
+    return len(a) < len(b)
+
+
 class TestLetterOrder:
     def test_prefix_comes_first(self):
-        assert compare_letters((1,), (1, 2)) == -1
+        assert (1,) < (1, 2)
 
     def test_first_difference_beats_length(self):
         # {a,b,w,x,y,z} precedes {a,c}
-        assert compare_letters(s("{a,b,w,x,y,z}")[0], s("{a,c}")[0]) == -1
+        assert s("{a,b,w,x,y,z}")[0] < s("{a,c}")[0]
         # and enriching a letter with a smaller symbol makes it smaller
-        assert compare_letters((1, 2, 3), (1, 3)) == -1
+        assert (1, 2, 3) < (1, 3)
 
     def test_equal(self):
-        assert compare_letters((1, 2), (1, 2)) == 0
+        assert (1, 2) == (1, 2)
+        assert not (1, 2) < (1, 2)
 
     def test_total_order_laws_exhaustive(self):
         # every nonempty subset of a 3-symbol alphabet
@@ -103,32 +111,29 @@ class TestLetterOrder:
             for c in itertools.combinations((1, 2, 3), k)
         ]
         for a, b in itertools.product(letters, repeat=2):
-            cab, cba = compare_letters(a, b), compare_letters(b, a)
-            assert cab == -cba
-            assert (cab == 0) == (a == b)
-            # the declared order agrees with tuple order
-            assert cab == (a > b) - (a < b)
+            # tuple order is the declared order, and it is trichotomous
+            assert (a < b) == declared_less(a, b)
+            assert (a < b) + (a == b) + (b < a) == 1
         for a, b, c in itertools.product(letters, repeat=3):
-            if compare_letters(a, b) <= 0 and compare_letters(b, c) <= 0:
-                assert compare_letters(a, c) <= 0
+            if a <= b and b <= c:
+                assert a <= c
 
 
 class TestStringOrder:
     def test_prefix_string_first(self):
-        assert compare_strings(s("{a,c} {g,t} a"), s("{a,c} {g,t} {a,g}")) == -1
+        assert s("{a,c} {g,t} a") < s("{a,c} {g,t} {a,g}")
 
     def test_first_letter_difference(self):
-        assert (
-            compare_strings(s("a {g,t} {a,c} {a,c,g}"), s("a {g,t} {a,t} a")) == -1
-        )
+        assert s("a {g,t} {a,c} {a,c,g}") < s("a {g,t} {a,t} a")
 
     def test_difference_at_position_one(self):
-        assert compare_strings(s("a {a,c,g} {a,c,g} {a,t}"), s("{a,c} g g {a,t}")) == -1
+        assert s("a {a,c,g} {a,c,g} {a,t}") < s("{a,c} g g {a,t}")
 
     @given(indet_strings(), indet_strings())
     def test_antisymmetric(self, x1, x2):
-        assert compare_strings(x1, x2) == -compare_strings(x2, x1)
-        assert (compare_strings(x1, x2) == 0) == (x1 == x2)
+        # the positionwise lift of the letter order, strict prefixes first
+        assert (x1 < x2) == declared_less(x1, x2)
+        assert (x1 < x2) + (x1 == x2) + (x2 < x1) == 1
 
 
 class TestComputePrefixTable:

@@ -84,6 +84,25 @@ class TestBuildPrefixGraph:
                 if n >= 1:
                     assert len(g.pos_edges) + len(g.neg_edges) >= n - 1
 
+    def test_rejects_infeasible(self):
+        # an entry past its range would give edges to vertices beyond n
+        for y in ((3, 5, 0), (3, -1, 0)):
+            with pytest.raises(FeasibleArrayError) as exc:
+                build_prefix_graph(y)
+            assert exc.value.index == 2
+
+    def test_neg_adjacency_sorted_exhaustive(self):
+        # each list is built ascending from the sorted edges, with no re-sort
+        for n in range(8):
+            for y in enumerate_feasible(n):
+                g = build_prefix_graph(y)
+                for v in range(1, n + 1):
+                    row = g.neg_adj[v]
+                    assert all(a < b for a, b in zip(row, row[1:]))
+                    assert row == tuple(sorted(
+                        u if w == v else w for u, w in g.neg_edges if v in (u, w)
+                    ))
+
     @given(feasible_arrays(min_n=1))
     def test_edge_properties(self, y):
         n = y[0]
