@@ -7,6 +7,12 @@ edge (1+y[i], i+y[i]) exists exactly when i+y[i] <= n.  Any string realizes
 the array iff it matches along every positive edge and mismatches along every
 negative edge, which is what both builders below exploit.
 
+There are at most n-1 negative edges but Σy[2..n] positive ones, up to
+n(n-1)/2.  So the graph keeps the array and its negative edges, and builds
+the positive edge list only when something reads it (the walk in infer, the
+edge-label witness and the positive export).  Regularity never does:
+positive_components reads the staircases straight off the array.
+
 build_prefix_graph is the one feasibility check on the graph's paths: infer,
 is_regular and the graph command build the graph from the array here, so
 each raises FeasibleArrayError for an infeasible array.
@@ -16,75 +22,126 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .core import IndetString, validate_feasible
+from .core import FeasibleArray, IndetString, validate_feasible
 
 Edge = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class PrefixGraph:
-    """Vertices 1..n; both edge lists ascending by (u, v) with u < v."""
+    """Vertices 1..n of the feasible array y; both edge lists ascending by
+    (u, v) with u < v.
 
-    n: int
-    pos_edges: tuple[Edge, ...]
+    pos_edges is derived from y on first use and then cached, so only its
+    readers pay Θ(Σy[2..n]) time and memory for it.
+    """
+
+    y: FeasibleArray
     neg_edges: tuple[Edge, ...]
     neg_adj: tuple[tuple[int, ...], ...]  # index 0 unused
 
+    @property
+    def n(self) -> int:
+        return len(self.y)
+
+    @cached_property
+    def pos_edges(self) -> tuple[Edge, ...]:
+        y = self.y
+        pos: list[Edge] = []
+        for i in range(2, len(y) + 1):
+            for h in range(1, y[i - 1] + 1):
+                pos.append((h, i + h - 1))
+        pos.sort()
+        return tuple(pos)
+
 
 def build_prefix_graph(y: Sequence[int]) -> PrefixGraph:
-    """The prefix graph of y.  Raises FeasibleArrayError when y is infeasible."""
+    """The prefix graph of y, with its at most n-1 negative edges built.
+
+    Raises FeasibleArrayError when y is infeasible.
+    """
     y = validate_feasible(y)
     n = len(y)
-    pos: list[Edge] = []
     neg: list[Edge] = []
     for i in range(2, n + 1):
         v = y[i - 1]
-        for h in range(1, v + 1):
-            pos.append((h, i + h - 1))
         if i + v <= n:
             neg.append((1 + v, i + v))
-    pos.sort()
     neg.sort()
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     # neg is in (u, v) order, so each adjacency list fills in ascending order
     for u, v in neg:
         adj[u].append(v)
         adj[v].append(u)
-    return PrefixGraph(n, tuple(pos), tuple(neg), tuple(tuple(l) for l in adj))
-
-
-class _DisjointSet:
-    """Union-find keeping the smallest member of each set as its root."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
+    return PrefixGraph(y, tuple(neg), tuple(tuple(l) for l in adj))
 
 
 def positive_components(g: PrefixGraph) -> tuple[int, ...]:
     """labels[v] = smallest vertex in v's component of the positive subgraph.
 
-    Indexed by vertex, so index 0 is unused (it stays 0).
+    Indexed by vertex, so index 0 is unused (it stays 0).  Reads g.y, not
+    g.pos_edges, in O(n log n).  Entry y[i] = L > 0 equates the ranges
+    [1..L] and [i..i+L-1] position by position.  With k = floor(log2 L) and
+    d = L - 2^k, that is the same as equating the blocks of length 2^k that
+    start at 1 and i, and those that start at 1+d and i+d, since each pair
+    of blocks overlaps and covers its range.  Level k keeps a union-find
+    over block starts.  From the top level down, every block that stopped
+    being a root at level k unions both of its halves with the halves of
+    its root at level k-1; level 0 then holds the components of positions.
     """
-    ds = _DisjointSet(g.n)
-    for u, v in g.pos_edges:
-        ds.union(u, v)
-    return tuple(ds.find(v) for v in range(g.n + 1))
+    y = g.y
+    n = len(y)
+    levels = max(max(y[1:], default=0).bit_length(), 1)
+    starts = list(range(n + 1))
+    parent = [starts[:] for _ in range(levels)]  # parent[k][s]: block [s, s+2^k)
+    moved: list[list[int]] = [[] for _ in range(levels)]  # ex-roots per level
+
+    def union(p: list[int], ex_roots: list[int], a: int, b: int) -> None:
+        # the smaller root wins, so every pointer leads to a smaller start
+        while p[a] != a:
+            p[a] = a = p[p[a]]
+        while p[b] != b:
+            p[b] = b = p[p[b]]
+        if a != b:
+            if b < a:
+                a, b = b, a
+            p[b] = a
+            ex_roots.append(b)
+
+    for i, length in enumerate(y[1:], 2):
+        if length:
+            k = length.bit_length() - 1
+            union(parent[k], moved[k], 1, i)
+            d = length - (1 << k)
+            if d:
+                union(parent[k], moved[k], 1 + d, i + d)
+    for k in range(levels - 1, 0, -1):
+        p, below, ex_roots = parent[k], parent[k - 1], moved[k - 1]
+        half = 1 << (k - 1)
+        for s in moved[k]:
+            r = p[s]
+            while p[r] != r:
+                p[r] = r = p[p[r]]
+            union(below, ex_roots, s, r)
+            union(below, ex_roots, s + half, r + half)
+    labels = parent[0]
+    # labels[v] <= v, and every smaller entry already names its root
+    for v in range(1, n + 1):
+        labels[v] = labels[labels[v]]
+    return tuple(labels)
+
+
+def _negative_edge_in_component(
+    g: PrefixGraph, labels: Sequence[int]
+) -> Edge | None:
+    """The first negative edge with both ends in one positive component."""
+    for u, v in g.neg_edges:
+        if labels[u] == labels[v]:
+            return u, v
+    return None
 
 
 def is_regular(y: Sequence[int]) -> tuple[bool, tuple[int, ...]]:
@@ -92,13 +149,13 @@ def is_regular(y: Sequence[int]) -> tuple[bool, tuple[int, ...]]:
 
     Positive edges force equality of regular letters, so each positive
     component carries one symbol; y is regular exactly when no negative edge
-    has both ends in the same component.  Raises FeasibleArrayError (from
-    build_prefix_graph) when y is infeasible.
+    has both ends in the same component.  The components come from a range
+    union over the array in O(n log n), so no positive edge is built.
+    Raises FeasibleArrayError (from build_prefix_graph) when y is infeasible.
     """
     g = build_prefix_graph(y)
     labels = positive_components(g)
-    ok = all(labels[u] != labels[v] for u, v in g.neg_edges)
-    return ok, labels
+    return _negative_edge_in_component(g, labels) is None, labels
 
 
 def regular_string_from_components(
@@ -110,12 +167,13 @@ def regular_string_from_components(
     deterministic.  Raises ValueError when some negative edge stays inside a
     component (no regular witness exists).
     """
-    for u, v in g.neg_edges:
-        if labels[u] == labels[v]:
-            raise ValueError(
-                f"array is not regular: positions {u} and {v} must mismatch "
-                "but lie in one forced-match component"
-            )
+    inside = _negative_edge_in_component(g, labels)
+    if inside is not None:
+        u, v = inside
+        raise ValueError(
+            f"array is not regular: positions {u} and {v} must mismatch "
+            "but lie in one forced-match component"
+        )
     rank: dict[int, int] = {}
     for v in range(1, g.n + 1):
         rank.setdefault(labels[v], len(rank) + 1)

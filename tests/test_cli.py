@@ -147,6 +147,27 @@ class TestRegular:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "y[4] = 3" in err
 
+    # 20,000 positions: the positive edges number about 2*10^8 for a^n and
+    # 4*10^7 for the periodic word, so these pass only when no edge is built
+    def test_scale_unary(self, capsys):
+        n = 20000
+        assert run("regular", " ".join(map(str, range(n, 0, -1)))) == 0
+        assert capsys.readouterr().out == "regular\n"
+
+    def test_scale_period_five(self, capsys):
+        # (aaaab)^k: a full-length box at each period start, a^(4-j) at
+        # offset j = 1..3 of a period and 0 at each b
+        def table(n):
+            return [
+                n - i if i % 5 == 0 else min(4 - i % 5, n - i)
+                for i in range(n)
+            ]
+
+        assert run("pt", " ".join(("aaaab" * 5)[:23])) == 0
+        assert capsys.readouterr().out == " ".join(map(str, table(23))) + "\n"
+        assert run("regular", " ".join(map(str, table(20000)))) == 0
+        assert capsys.readouterr().out == "regular\n"
+
 
 class TestGen:
     def test_deterministic_valid(self, capsys):

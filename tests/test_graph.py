@@ -6,11 +6,14 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import feasible_arrays, s
+from conftest import feasible_arrays, regular_strings, s
 from indetstr import (
     FeasibleArrayError,
+    PrefixGraph,
+    cli,
     build_prefix_graph,
     compute_prefix_table,
     edge_label_string,
@@ -148,7 +151,7 @@ class TestRegularity:
             for y in enumerate_feasible(n):
                 ok, labels = is_regular(y)
                 g = build_prefix_graph(y)
-                assert labels == positive_components(g)
+                assert labels == _components_from_edges(g)
                 if ok:
                     x = regular_string_from_components(g, labels)
                     assert all(len(a) == 1 for a in x)
@@ -156,6 +159,94 @@ class TestRegularity:
                 else:
                     with pytest.raises(ValueError):
                         regular_string_from_components(g, labels)
+
+    def test_components_match_edge_oracle_exhaustive(self):
+        for n in range(9):
+            for y in enumerate_feasible(n):
+                g = build_prefix_graph(y)
+                expected = _components_from_edges(g)
+                assert positive_components(g) == expected, y
+                ok, labels = is_regular(y)
+                assert labels == expected, y
+                assert ok == all(expected[u] != expected[v] for u, v in g.neg_edges)
+
+    @settings(deadline=None)
+    @given(st.one_of(
+        feasible_arrays(max_n=200),
+        # prefix tables of regular strings: regular, with long boxes
+        regular_strings(max_n=200).map(compute_prefix_table),
+    ))
+    def test_components_match_edge_oracle(self, y):
+        g = build_prefix_graph(y)
+        expected = _components_from_edges(g)
+        assert positive_components(g) == expected
+        assert is_regular(y)[1] == expected
+
+
+def _components_from_edges(g):
+    """Oracle: union-find over the positive edge list, the smallest member of
+    each set as its root; labels indexed by vertex, index 0 holding 0."""
+    parent = list(range(g.n + 1))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in g.pos_edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    return tuple(find(v) for v in range(g.n + 1))
+
+
+class TestEdgeFreePaths:
+    """Regularity and the negative export never build the positive edges."""
+
+    @pytest.fixture(autouse=True)
+    def no_pos_edges(self, monkeypatch):
+        def fail(g):
+            raise AssertionError("positive edges were built")
+
+        monkeypatch.setattr(PrefixGraph, "pos_edges", property(fail))
+
+    def test_regularity(self):
+        y = (8, 0, 1, 0, 3, 0, 1, 0)
+        ok, labels = is_regular(y)
+        g = build_prefix_graph(y)
+        assert ok and positive_components(g) == labels
+        assert regular_string_from_components(g, labels) == s("a b a c a b a d")
+        ok, labels = is_regular((5, 0, 2, 1, 0))
+        g = build_prefix_graph((5, 0, 2, 1, 0))
+        assert not ok and positive_components(g) == labels
+        with pytest.raises(ValueError) as exc:
+            regular_string_from_components(g, labels)
+        assert str(exc.value) == (
+            "array is not regular: positions 1 and 2 must mismatch "
+            "but lie in one forced-match component"
+        )
+
+    def test_negative_export(self):
+        g = build_prefix_graph((5, 0, 2, 1, 0))
+        assert export_graph(g, fmt="json", sign="negative") == (
+            '{"n":5,"neg":[[1,2],[1,5],[2,5],[3,5]]}'
+        )
+        assert export_graph(g, fmt="dot", sign="negative").endswith(
+            "  5;\n"
+            "  1 -- 2 [style=dashed];\n"
+            "  1 -- 5 [style=dashed];\n"
+            "  2 -- 5 [style=dashed];\n"
+            "  3 -- 5 [style=dashed];\n"
+            "}\n"
+        )
+
+    def test_cli_regular(self, capsys):
+        assert cli.main(["regular", "8 0 1 0 3 0 1 0"]) == 0
+        assert cli.main(["regular", "5 0 2 1 0"]) == 0
+        assert capsys.readouterr().out == (
+            "regular\nindeterminate-only (components: 2)\n"
+        )
 
 
 class TestRegularWitness:
