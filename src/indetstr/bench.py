@@ -26,7 +26,6 @@ class BenchConfig:
     lengths: tuple[int, ...]  # strictly ascending
     trials: int
     seed: int = 0
-    out: str | None = None
 
     def __post_init__(self):
         if not self.lengths or any(n < 1 for n in self.lengths):
@@ -50,7 +49,7 @@ def _stream(seed: int, n: int) -> random.Random:
 
 
 def run_bench(cfg: BenchConfig) -> str:
-    """Run the timing experiment and return (and optionally write) the CSV."""
+    """Run the timing experiment and return the CSV report."""
     rows = [CSV_HEADER]
     for n in cfg.lengths:
         rng = _stream(cfg.seed, n)
@@ -82,11 +81,7 @@ def run_bench(cfg: BenchConfig) -> str:
                 )
             )
         )
-    text = "\n".join(rows) + "\n"
-    if cfg.out is not None:
-        with open(cfg.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(rows) + "\n"
 
 
 def growth_trend(report: str) -> float:

@@ -9,6 +9,7 @@ unwritable output), 2 usage error (bad flags, unparseable token).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import random
 import sys
 from typing import Sequence
@@ -103,11 +104,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         lengths=bench.parse_lengths(args.lengths),
         trials=args.trials,
         seed=args.seed,
-        out=None if args.out == "-" else args.out,
     )
-    text = bench.run_bench(cfg)
-    if cfg.out is None:
-        sys.stdout.write(text)
+    # opened before the timing starts, so an unwritable path fails at once
+    out = None if args.out == "-" else open(args.out, "w", encoding="ascii")
+    with out or contextlib.nullcontext(sys.stdout) as fh:
+        text = bench.run_bench(cfg)
+        fh.write(text)
     if len(cfg.lengths) >= 3:  # lengths are strictly ascending
         print(f"log-log slope: {bench.growth_trend(text):.3f}", file=sys.stderr)
     return 0

@@ -7,10 +7,11 @@ strings from regular ones (every letter a single symbol).
 
 Symbols are positive integer ranks.  Ranks 1..26 render as 'a'..'z', larger
 ranks render as decimal integers.  Letters are kept as strictly increasing
-tuples, so matching is a single merge scan and the letter order is Python's
-tuple order: a strict prefix comes first, otherwise the smaller symbol at the
-first difference decides, so {a,b,w,x,y,z} precedes {a,c}.  Strings, as
-tuples of letters, are ordered the same way.
+tuples, so the letter order is Python's tuple order: a strict prefix comes
+first, otherwise the smaller symbol at the first difference decides, so
+{a,b,w,x,y,z} precedes {a,c}.  Strings, as tuples of letters, are ordered
+the same way.  Matching is a set intersection test, and the one prefix-table
+scan runs it over frozenset copies of the letters.
 
 External indexing is 1-based everywhere (reports, diagnostics, exports);
 internally plain 0-based sequences are used.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Symbol = int
 Letter = tuple[Symbol, ...]
@@ -59,33 +60,32 @@ def letter(symbols: Iterable[int]) -> Letter:
 
 def letters_match(a: Letter, b: Letter) -> bool:
     """True when the two symbol sets intersect."""
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return True
-        if a[i] < b[j]:
-            i += 1
-        else:
+    return not set(a).isdisjoint(b)
+
+
+def _prefix_entries(x: Sequence[Letter]) -> Iterator[int]:
+    """The prefix table of x entry by entry, by a plain quadratic scan: the
+    one scan behind compute_prefix_table and verify_prefix_table."""
+    n = len(x)
+    if n == 0:
+        return
+    yield n
+    sets = [frozenset(a) for a in x]
+    for i in range(1, n):
+        j = 0
+        while i + j < n and not sets[j].isdisjoint(sets[i + j]):
             j += 1
-    return False
+        yield j
 
 
 def compute_prefix_table(x: Sequence[Letter]) -> FeasibleArray:
     """Prefix table of x: entry i is the length of the longest prefix of
     x[i..n] that matches a prefix of x.  Entry 1 is always n.
 
-    Plain quadratic scan; each position extends until the first mismatch.
+    verify_prefix_table reports a claim longer than this entry as condition
+    (a) and a shorter one as condition (b).
     """
-    n = len(x)
-    if n == 0:
-        return ()
-    table = [n]
-    for i in range(1, n):
-        j = 0
-        while i + j < n and letters_match(x[j], x[i + j]):
-            j += 1
-        table.append(j)
-    return tuple(table)
+    return tuple(_prefix_entries(x))
 
 
 @dataclass(frozen=True)
@@ -106,23 +106,19 @@ def verify_prefix_table(x: Sequence[Letter], y: Sequence[int]) -> TableCheck:
     Condition (a): the claimed match holds, i.e. x[1..y[i]] matches
     x[i..i+y[i]-1] letter by letter.  Condition (b): the match cannot be
     extended, i.e. when i+y[i] <= n the letters x[y[i]+1] and x[i+y[i]] do
-    not match.  Passing both everywhere is equivalent to
-    compute_prefix_table(x) == y.
+    not match.  With pi the prefix table of x, (a) fails exactly when
+    y[i] > pi[i] or y[i] < 0, and (b) exactly when 0 <= y[i] < pi[i].  So
+    the first failing position is the first i with y[i] != pi[i], and the
+    table is computed only up to it.
     """
     n = len(x)
     if len(y) != n:
         raise ValueError(
             f"length mismatch: string has {n} positions, array has {len(y)}"
         )
-    for i in range(1, n + 1):
-        v = y[i - 1]
-        if v < 0 or i + v - 1 > n:
-            return TableCheck(False, i, "a")
-        for h in range(1, v + 1):
-            if not letters_match(x[h - 1], x[i + h - 2]):
-                return TableCheck(False, i, "a")
-        if i + v <= n and letters_match(x[v], x[i + v - 1]):
-            return TableCheck(False, i, "b")
+    for i, (v, p) in enumerate(zip(y, _prefix_entries(x)), start=1):
+        if v != p:
+            return TableCheck(False, i, "a" if v > p or v < 0 else "b")
     return TableCheck(True)
 
 

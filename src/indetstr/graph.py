@@ -35,17 +35,26 @@ class PrefixGraph:
     """Vertices 1..n of the feasible array y; both edge lists ascending by
     (u, v) with u < v.
 
-    pos_edges is derived from y on first use and then cached, so only its
-    readers pay Θ(Σy[2..n]) time and memory for it.
+    pos_edges (Θ(Σy[2..n]) edges) and neg_adj (read only by the walk in
+    infer) are derived on first use and then cached, so only readers pay.
     """
 
     y: FeasibleArray
     neg_edges: tuple[Edge, ...]
-    neg_adj: tuple[tuple[int, ...], ...]  # index 0 unused
 
     @property
     def n(self) -> int:
         return len(self.y)
+
+    @cached_property
+    def neg_adj(self) -> tuple[tuple[int, ...], ...]:
+        """Negative neighbours of each vertex, ascending; index 0 unused."""
+        adj: list[list[int]] = [[] for _ in range(self.n + 1)]
+        # neg_edges is in (u, v) order, so each list fills in ascending order
+        for u, v in self.neg_edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(tuple(l) for l in adj)
 
     @cached_property
     def pos_edges(self) -> tuple[Edge, ...]:
@@ -71,12 +80,7 @@ def build_prefix_graph(y: Sequence[int]) -> PrefixGraph:
         if i + v <= n:
             neg.append((1 + v, i + v))
     neg.sort()
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    # neg is in (u, v) order, so each adjacency list fills in ascending order
-    for u, v in neg:
-        adj[u].append(v)
-        adj[v].append(u)
-    return PrefixGraph(y, tuple(neg), tuple(tuple(l) for l in adj))
+    return PrefixGraph(y, tuple(neg))
 
 
 def positive_components(g: PrefixGraph) -> tuple[int, ...]:

@@ -59,12 +59,6 @@ class TestRunBench:
         b = run_bench(cfg).splitlines()[1].split(",")
         assert a[5:] == b[5:]
 
-    def test_writes_file(self, tmp_path):
-        out = tmp_path / "report.csv"
-        cfg = BenchConfig(lengths=(3, 4), trials=2, seed=1, out=str(out))
-        report = run_bench(cfg)
-        assert out.read_text(encoding="ascii") == report
-
 
 class TestGrowthTrend:
     @staticmethod

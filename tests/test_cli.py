@@ -199,8 +199,23 @@ class TestBench:
         assert run("bench", "--lengths", "3,5,7", "--trials", "1", "--out", str(out)) == 0
         stdout, err = capsys.readouterr()
         assert stdout == ""
-        assert out.read_text().startswith(CSV_HEADER + "\n")
+        text = out.read_text(encoding="ascii")
+        lines = text.splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 1 + 3
         assert err.startswith("log-log slope: ")
+        assert growth_trend(text) == pytest.approx(float(err.split(":")[1]), abs=1e-3)
+
+    def test_unwritable_out_fails_before_timing(self, capsys, monkeypatch, tmp_path):
+        def no_timing(cfg):
+            raise AssertionError("timing started before --out was opened")
+
+        monkeypatch.setattr("indetstr.bench.run_bench", no_timing)
+        out = tmp_path / "missing" / "r.csv"
+        assert run("bench", "--lengths", "3,5,7", "--trials", "1", "--out", str(out)) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error:")
 
     def test_no_slope_below_three_lengths(self, capsys):
         assert run("bench", "--lengths", "4,8", "--trials", "1") == 0

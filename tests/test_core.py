@@ -12,6 +12,7 @@ from conftest import feasible_arrays, indet_strings, regular_strings, s
 from indetstr import (
     FeasibleArrayError,
     ParseError,
+    TableCheck,
     compute_prefix_table,
     format_array,
     format_string,
@@ -51,6 +52,46 @@ def z_function_table(word):
     return tuple(z)
 
 
+def merge_scan_match(a, b):
+    """Reference matching: a merge scan over the two ascending tuples."""
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i] == b[j]:
+            return True
+        if a[i] < b[j]:
+            i += 1
+        else:
+            j += 1
+    return False
+
+
+def two_condition_verify(x, y):
+    """Reference verification: conditions (a) and (b) checked directly at
+    each position, with merge-scan matching and no prefix table."""
+    n = len(x)
+    if len(y) != n:
+        raise ValueError("length mismatch")
+    for i in range(1, n + 1):
+        v = y[i - 1]
+        if v < 0 or i + v - 1 > n:
+            return TableCheck(False, i, "a")
+        for h in range(1, v + 1):
+            if not merge_scan_match(x[h - 1], x[i + h - 2]):
+                return TableCheck(False, i, "a")
+        if i + v <= n and merge_scan_match(x[v], x[i + v - 1]):
+            return TableCheck(False, i, "b")
+    return TableCheck(True)
+
+
+def subset_letters(sigma):
+    """Every letter over the symbols 1..sigma."""
+    return [
+        c
+        for k in range(1, sigma + 1)
+        for c in itertools.combinations(range(1, sigma + 1), k)
+    ]
+
+
 class TestLetterBasics:
     def test_letter_normalizes(self):
         assert letter([2, 1]) == (1, 2)
@@ -79,6 +120,10 @@ class TestLetterBasics:
         a, b = x
         assert letters_match(a, b) == letters_match(b, a)
 
+    def test_match_agrees_with_merge_scan_exhaustive(self):
+        for a, b in itertools.product(subset_letters(4), repeat=2):
+            assert letters_match(a, b) == merge_scan_match(a, b), (a, b)
+
 
 def declared_less(a, b):
     """The order as the model states it, element by element: a strict prefix
@@ -105,11 +150,7 @@ class TestLetterOrder:
 
     def test_total_order_laws_exhaustive(self):
         # every nonempty subset of a 3-symbol alphabet
-        letters = [
-            tuple(sorted(c))
-            for k in range(1, 4)
-            for c in itertools.combinations((1, 2, 3), k)
-        ]
+        letters = subset_letters(3)
         for a, b in itertools.product(letters, repeat=2):
             # tuple order is the declared order, and it is trichotomous
             assert (a < b) == declared_less(a, b)
@@ -190,6 +231,35 @@ class TestVerifyPrefixTable:
         i = data.draw(st.integers(0, len(y) - 1))
         y[i] = data.draw(st.integers(0, len(y)))
         assert verify_prefix_table(x, y).ok == (tuple(y) == compute_prefix_table(x))
+
+    def test_agrees_with_two_condition_oracle_exhaustive(self):
+        # every string over at most 3 symbols with n <= 4, with its own table
+        # and with every single-entry change to -1..n+1
+        for n in range(5):
+            for x in itertools.product(subset_letters(3), repeat=n):
+                table = compute_prefix_table(x)
+                claims = [table]
+                for i in range(n):
+                    for v in range(-1, n + 2):
+                        claims.append(table[:i] + (v,) + table[i + 1 :])
+                for y in claims:
+                    assert verify_prefix_table(x, y) == two_condition_verify(x, y), (x, y)
+
+    @given(indet_strings(min_n=1, max_n=12), st.data())
+    def test_agrees_with_two_condition_oracle_multi_entry(self, x, data):
+        n = len(x)
+        y = list(compute_prefix_table(x))
+        changes = st.tuples(st.integers(0, n - 1), st.integers(-1, n + 1))
+        for i, v in data.draw(st.lists(changes, max_size=4)):
+            y[i] = v
+        assert verify_prefix_table(x, y) == two_condition_verify(x, y)
+
+    def test_stops_at_first_failure(self):
+        # the whole table of a^20000 would take about 2*10^8 letter matches;
+        # the claim already fails at position 2
+        n = 20000
+        check = verify_prefix_table(((1,),) * n, (n,) + (0,) * (n - 1))
+        assert (check.ok, check.position, check.condition) == (False, 2, "b")
 
 
 class TestValidateFeasible:
