@@ -38,9 +38,7 @@ from .graph import (
 )
 from .inference import infer, infer_with_trace
 from .oracle import (
-    DEFAULT_BUDGET,
     BudgetExceeded,
-    EnumerationBudget,
     brute_force_is_regular,
     brute_force_lex_least,
     enumerate_feasible,
@@ -49,8 +47,6 @@ from .oracle import (
 __all__ = [
     "BenchConfig",
     "BudgetExceeded",
-    "DEFAULT_BUDGET",
-    "EnumerationBudget",
     "FeasibleArray",
     "FeasibleArrayError",
     "IndetString",

@@ -3,14 +3,15 @@
 Three exhaustive searches: all feasible arrays of a length, the least string
 realizing an array on a minimum alphabet, and the existence of a regular
 witness.  Deliberately unclever; their value is being obviously correct.
-Every search is budgeted and aborts with BudgetExceeded rather than guessing.
+Each search is sized from n before it starts and refuses with BudgetExceeded,
+rather than guessing, when it would try more than MAX_CANDIDATES strings.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+import operator
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     FeasibleArray,
@@ -19,19 +20,19 @@ from .core import (
     validate_feasible,
 )
 
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_n: int = 5
-    max_sigma: int = 5
-    max_candidates: int = 50_000_000
-
-
-DEFAULT_BUDGET = EnumerationBudget()
+MAX_CANDIDATES = 50_000_000
 
 
 class BudgetExceeded(RuntimeError):
     """Search aborted before an answer; distinct from any yes/no result."""
+
+
+def _refuse_oversized(n: int, running_sizes: Iterable[int]) -> None:
+    """Raise BudgetExceeded when a search's running candidate count passes
+    MAX_CANDIDATES.  The counts are consumed lazily, so a large n costs only
+    the first count that is too big."""
+    if any(size > MAX_CANDIDATES for size in running_sizes):
+        raise BudgetExceeded(f"n = {n} needs over {MAX_CANDIDATES} candidates")
 
 
 def enumerate_feasible(n: int) -> Iterator[FeasibleArray]:
@@ -51,49 +52,34 @@ def enumerate_feasible(n: int) -> Iterator[FeasibleArray]:
 
 
 def _letters_over(sigma: int) -> list[tuple[int, ...]]:
-    """All nonempty subsets of {1..sigma} as sorted tuples."""
-    out: list[tuple[int, ...]] = []
-    for k in range(1, sigma + 1):
-        out.extend(itertools.combinations(range(1, sigma + 1), k))
-    return out
+    """All nonempty subsets of {1..sigma} as sorted tuples, in letter order."""
+    symbols = range(1, sigma + 1)
+    return sorted(c for k in symbols for c in itertools.combinations(symbols, k))
 
 
-def brute_force_lex_least(
-    y: Sequence[int], budget: EnumerationBudget = DEFAULT_BUDGET
-) -> tuple[IndetString, int]:
-    """Least string realizing y on a minimum alphabet, by full enumeration.
+def brute_force_lex_least(y: Sequence[int]) -> tuple[IndetString, int]:
+    """Least string realizing y on a minimum alphabet, by enumeration.
 
-    Alphabet sizes are scanned upward; at each size every string over the
-    nonempty subsets of {1..sigma} is checked and the order-minimum match is
-    kept.  The first size with any match is the minimum alphabet size: any
-    realization with k distinct symbols maps, by an order-preserving dense
-    relabeling, to one over {1..k} that is no larger, so nothing outside the
-    enumeration can win.
+    Alphabet sizes are scanned upward from 1 to n.  At each size the strings
+    over the nonempty subsets of {1..sigma} are tried in ascending order, so
+    the first match is the least one, and the first size with any match is
+    the minimum alphabet size: any realization with k distinct symbols maps,
+    by an order-preserving dense relabeling, to one over {1..k} that is no
+    larger, so nothing outside the enumeration can win.  Refuses when the
+    sizes 1..n together hold more than MAX_CANDIDATES strings (n >= 6).
     """
     y = validate_feasible(y)
     n = len(y)
-    if n > budget.max_n:
-        raise BudgetExceeded(f"n = {n} exceeds budget max_n = {budget.max_n}")
     if n == 0:
         return (), 0
-    seen = 0
-    for sigma in range(1, budget.max_sigma + 1):
-        alphabet = _letters_over(sigma)
-        best: IndetString | None = None
-        for cand in itertools.product(alphabet, repeat=n):
-            seen += 1
-            if seen > budget.max_candidates:
-                raise BudgetExceeded(
-                    f"candidate budget {budget.max_candidates} exhausted"
-                )
-            if compute_prefix_table(cand) == y:
-                if best is None or cand < best:
-                    best = cand
-        if best is not None:
-            return best, sigma
-    raise BudgetExceeded(
-        f"no realization found within max_sigma = {budget.max_sigma}"
+    _refuse_oversized(
+        n, itertools.accumulate((2**sigma - 1) ** n for sigma in range(1, n + 1))
     )
+    for sigma in range(1, n + 1):
+        for cand in itertools.product(_letters_over(sigma), repeat=n):
+            if compute_prefix_table(cand) == y:
+                return cand, sigma
+    raise BudgetExceeded(f"no realization over at most {n} symbols")
 
 
 def _canonical_regular(n: int) -> Iterator[IndetString]:
@@ -116,21 +102,13 @@ def _canonical_regular(n: int) -> Iterator[IndetString]:
     yield from rec(0, 0)
 
 
-def brute_force_is_regular(
-    y: Sequence[int], budget: EnumerationBudget = DEFAULT_BUDGET
-) -> bool:
-    """True iff some regular string has prefix table y, by witness search."""
+def brute_force_is_regular(y: Sequence[int]) -> bool:
+    """True iff some regular string has prefix table y, by witness search.
+
+    Position k of a canonical candidate has at most k choices, so there are
+    at most n! candidates; refuses when n! > MAX_CANDIDATES (n >= 12).
+    """
     y = validate_feasible(y)
     n = len(y)
-    if n > budget.max_n:
-        raise BudgetExceeded(f"n = {n} exceeds budget max_n = {budget.max_n}")
-    seen = 0
-    for cand in _canonical_regular(n):
-        seen += 1
-        if seen > budget.max_candidates:
-            raise BudgetExceeded(
-                f"candidate budget {budget.max_candidates} exhausted"
-            )
-        if compute_prefix_table(cand) == y:
-            return True
-    return False
+    _refuse_oversized(n, itertools.accumulate(range(1, n + 1), operator.mul))
+    return any(compute_prefix_table(cand) == y for cand in _canonical_regular(n))

@@ -18,7 +18,6 @@ from typing import Callable
 
 from conftest import s
 from indetstr import (
-    EnumerationBudget,
     brute_force_is_regular,
     brute_force_lex_least,
     build_prefix_graph,
@@ -139,11 +138,10 @@ def test_criterion_05_minimality_vs_oracle():
 
 def test_criterion_06_regularity_vs_oracle():
     def body():
-        budget = EnumerationBudget(max_n=6)
         count = 0
         for n in range(7):
             for y in enumerate_feasible(n):
-                assert is_regular(y)[0] == brute_force_is_regular(y, budget), (
+                assert is_regular(y)[0] == brute_force_is_regular(y), (
                     format_array(y)
                 )
                 count += 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 
@@ -238,6 +239,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
         assert exc.value.code == 2
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        # one build is 9 parsers (the top level and 8 subcommands)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run("infer", "5 0 2 1 0") == 0
+        assert run("regular", "4 0 0 0") == 0
+        assert len(built) <= 9
 
 
 def test_round_trip_through_text(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import s
 from indetstr import (
     BudgetExceeded,
-    EnumerationBudget,
     brute_force_is_regular,
     brute_force_lex_least,
     compute_prefix_table,
@@ -20,6 +20,28 @@ from indetstr import (
     is_regular,
     validate_feasible,
 )
+from indetstr import oracle
+
+
+def scan_every_candidate(y):
+    """The earlier lex-least search, kept as the first-match search's oracle:
+    at each alphabet size, every candidate over the letters in size order is
+    checked and the least match is kept."""
+    n = len(y)
+    if n == 0:
+        return (), 0
+    for sigma in range(1, n + 1):
+        letters = [
+            c for k in range(1, sigma + 1)
+            for c in itertools.combinations(range(1, sigma + 1), k)
+        ]
+        best = None
+        for cand in itertools.product(letters, repeat=n):
+            if compute_prefix_table(cand) == y and (best is None or cand < best):
+                best = cand
+        if best is not None:
+            return best, sigma
+    raise AssertionError(f"no realization of {y} over at most {n} symbols")
 
 
 class TestEnumerateFeasible:
@@ -71,25 +93,41 @@ class TestBruteForceLexLeast:
             for y in enumerate_feasible(n):
                 assert brute_force_lex_least(y)[0] == infer(y)
 
+    def test_agrees_with_scan_every_candidate(self):
+        # up to length 4 the first match in size order is also the least;
+        # these length-5 arrays are three where it is not
+        ys = [y for n in range(5) for y in enumerate_feasible(n)]
+        ys += [(5, 0, 2, 1, 1), (5, 0, 3, 1, 0), (5, 2, 3, 0, 0)]
+        for y in ys:
+            assert brute_force_lex_least(y) == scan_every_candidate(y)
+
+    def test_infer_diverges_only_on_52311_at_n5(self):
+        # the one length-5 array where the walk is not exact, see test_inference
+        diverging = {
+            y for y in enumerate_feasible(5)
+            if infer(y) != brute_force_lex_least(y)[0]
+        }
+        assert diverging == {(5, 2, 3, 1, 1)}
+
     def test_budget_max_n(self):
         with pytest.raises(BudgetExceeded):
-            brute_force_lex_least((6, 0, 0, 0, 0, 0), EnumerationBudget(max_n=5))
+            brute_force_lex_least((6, 0, 0, 0, 0, 0))
 
-    def test_budget_max_candidates(self):
+    def test_budget_max_candidates(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_CANDIDATES", 10)
         with pytest.raises(BudgetExceeded):
-            brute_force_lex_least(
-                (4, 0, 0, 0), EnumerationBudget(max_candidates=10)
-            )
+            brute_force_lex_least((4, 0, 0, 0))
 
-    def test_budget_max_sigma(self):
-        # 4 0 0 0 needs two symbols, so a one-symbol cap must report failure
+    def test_budget_max_sigma(self, monkeypatch):
+        # the search stops at sigma = n and reports failure, never falls through
+        monkeypatch.setattr(oracle, "compute_prefix_table", lambda x: None)
         with pytest.raises(BudgetExceeded):
-            brute_force_lex_least((4, 0, 0, 0), EnumerationBudget(max_sigma=1))
+            brute_force_lex_least((4, 0, 0, 0))
 
 
 class TestBruteForceIsRegular:
     def test_golden(self):
-        assert brute_force_is_regular((8, 0, 1, 0, 3, 0, 1, 0), EnumerationBudget(max_n=8))
+        assert brute_force_is_regular((8, 0, 1, 0, 3, 0, 1, 0))
         assert not brute_force_is_regular((5, 0, 2, 1, 0))
         assert brute_force_is_regular((4, 0, 0, 0))
         assert brute_force_is_regular(())
@@ -99,11 +137,12 @@ class TestBruteForceIsRegular:
             for y in enumerate_feasible(n):
                 assert brute_force_is_regular(y) == is_regular(y)[0]
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         with pytest.raises(BudgetExceeded):
-            brute_force_is_regular((3, 0, 0), EnumerationBudget(max_n=2))
+            brute_force_is_regular((12,) + (0,) * 11)
+        monkeypatch.setattr(oracle, "MAX_CANDIDATES", 2)
         with pytest.raises(BudgetExceeded):
-            brute_force_is_regular((4, 0, 0, 0), EnumerationBudget(max_candidates=2))
+            brute_force_is_regular((4, 0, 0, 0))
 
 
 @given(st.integers(0, 3), st.data())
