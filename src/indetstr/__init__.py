@@ -1,9 +1,9 @@
 """Indeterminate strings from prefix tables.
 
 Core pipeline: a feasible array determines a prefix graph of forced matches
-and mismatches; walking it yields the least indeterminate string whose
-prefix table is the array.  Brute-force oracles validate the fast paths on
-small instances and a timing harness measures growth.
+and mismatches; walking it yields an indeterminate string whose prefix table
+is the array, lex-least on a minimum alphabet up to length 4 only.  Small-case
+brute-force oracles check the fast paths and a timing harness measures growth.
 """
 
 from .bench import BenchConfig, gen_random_feasible, growth_trend, run_bench

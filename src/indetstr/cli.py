@@ -94,6 +94,8 @@ def cmd_regular(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise ValueError(f"count must be >= 0, got {args.count}")
     rng = random.Random(args.seed)
     for _ in range(args.count):
         print(core.format_array(bench.gen_random_feasible(args.length, rng)))

@@ -7,11 +7,9 @@ edge (1+y[i], i+y[i]) exists exactly when i+y[i] <= n.  Any string realizes
 the array iff it matches along every positive edge and mismatches along every
 negative edge, which is what both builders below exploit.
 
-There are at most n-1 negative edges but Σy[2..n] positive ones, up to
-n(n-1)/2.  So the graph keeps the array and its negative edges, and builds
-the positive edge list only when something reads it (the walk in infer, the
-edge-label witness and the positive export).  Regularity never does:
-positive_components reads the staircases straight off the array.
+The array is the graph's one stored fact; each edge structure is built from
+it on first read and then cached.  Regularity builds none: it reads the
+components and the negative edges straight off the array.
 
 build_prefix_graph is the one feasibility check on the graph's paths: infer,
 is_regular and the graph command build the graph from the array here, so
@@ -23,28 +21,36 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import FeasibleArray, IndetString, validate_feasible
 
 Edge = tuple[int, int]
 
 
+def _negative_edges(y: FeasibleArray) -> Iterator[Edge]:
+    """Negative edges (1+y[i], i+y[i]), i+y[i] <= n (never i = 1: y[1] = n)."""
+    n = len(y)
+    return ((1 + v, i + v) for i, v in enumerate(y, 1) if i + v <= n)
+
+
 @dataclass(frozen=True)
 class PrefixGraph:
-    """Vertices 1..n of the feasible array y; both edge lists ascending by
-    (u, v) with u < v.
+    """Vertices 1..n of the feasible array y, the one stored field.
 
-    pos_edges (Θ(Σy[2..n]) edges) and neg_adj (read only by the walk in
-    infer) are derived on first use and then cached, so only readers pay.
+    Each edge structure is derived from y on first read and then cached, so
+    only readers pay; both edge lists ascend by (u, v) with u < v.
     """
 
     y: FeasibleArray
-    neg_edges: tuple[Edge, ...]
 
     @property
     def n(self) -> int:
         return len(self.y)
+
+    @cached_property
+    def neg_edges(self) -> tuple[Edge, ...]:
+        return tuple(sorted(_negative_edges(self.y)))
 
     @cached_property
     def neg_adj(self) -> tuple[tuple[int, ...], ...]:
@@ -68,19 +74,11 @@ class PrefixGraph:
 
 
 def build_prefix_graph(y: Sequence[int]) -> PrefixGraph:
-    """The prefix graph of y, with its at most n-1 negative edges built.
+    """The prefix graph of y; no edge is built until it is read.
 
     Raises FeasibleArrayError when y is infeasible.
     """
-    y = validate_feasible(y)
-    n = len(y)
-    neg: list[Edge] = []
-    for i in range(2, n + 1):
-        v = y[i - 1]
-        if i + v <= n:
-            neg.append((1 + v, i + v))
-    neg.sort()
-    return PrefixGraph(y, tuple(neg))
+    return PrefixGraph(validate_feasible(y))
 
 
 def positive_components(g: PrefixGraph) -> tuple[int, ...]:
@@ -141,11 +139,9 @@ def positive_components(g: PrefixGraph) -> tuple[int, ...]:
 def _negative_edge_in_component(
     g: PrefixGraph, labels: Sequence[int]
 ) -> Edge | None:
-    """The first negative edge with both ends in one positive component."""
-    for u, v in g.neg_edges:
-        if labels[u] == labels[v]:
-            return u, v
-    return None
+    """The least negative edge with both ends in one positive component."""
+    inside = (e for e in _negative_edges(g.y) if labels[e[0]] == labels[e[1]])
+    return min(inside, default=None)
 
 
 def is_regular(y: Sequence[int]) -> tuple[bool, tuple[int, ...]]:
@@ -154,7 +150,7 @@ def is_regular(y: Sequence[int]) -> tuple[bool, tuple[int, ...]]:
     Positive edges force equality of regular letters, so each positive
     component carries one symbol; y is regular exactly when no negative edge
     has both ends in the same component.  The components come from a range
-    union over the array in O(n log n), so no positive edge is built.
+    union over the array in O(n log n), so no edge list is built.
     Raises FeasibleArrayError (from build_prefix_graph) when y is infeasible.
     """
     g = build_prefix_graph(y)

@@ -5,6 +5,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +188,14 @@ class TestGen:
             y = tuple(int(t) for t in row.split())
             assert validate_feasible(y) == y and y[0] == 6
 
+    def test_bad_length_or_count(self, capsys):
+        assert run("gen", "--length", "5", "--count", "-1") == 1
+        assert capsys.readouterr() == ("", "error: count must be >= 0, got -1\n")
+        assert run("gen", "--length", "0") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert run("gen", "--length", "5", "--count", "0") == 0
+        assert capsys.readouterr() == ("", "")
+
 
 class TestBench:
     def test_stdout(self, capsys):
@@ -253,6 +265,16 @@ class TestUsage:
         assert run("infer", "5 0 2 1 0") == 0
         assert run("regular", "4 0 0 0") == 0
         assert len(built) <= 9
+
+    def test_module_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        done = subprocess.run(
+            [sys.executable, "-m", "indetstr.cli", "infer", "5 0 2 1 0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "a b a {a,b} c\n", "")
 
 
 def test_round_trip_through_text(capsys):

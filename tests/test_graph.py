@@ -25,6 +25,7 @@ from indetstr import (
     regular_string_from_components,
     verify_prefix_table,
 )
+from indetstr.graph import _negative_edge_in_component
 
 
 class TestBuildPrefixGraph:
@@ -169,6 +170,8 @@ class TestRegularity:
                 ok, labels = is_regular(y)
                 assert labels == expected, y
                 assert ok == all(expected[u] != expected[v] for u, v in g.neg_edges)
+                inside = _first_inside_by_scan(g, expected)
+                assert _negative_edge_in_component(g, expected) == inside, y
 
     @settings(deadline=None)
     @given(st.one_of(
@@ -181,6 +184,17 @@ class TestRegularity:
         expected = _components_from_edges(g)
         assert positive_components(g) == expected
         assert is_regular(y)[1] == expected
+        inside = _first_inside_by_scan(g, expected)
+        assert _negative_edge_in_component(g, expected) == inside
+
+
+def _first_inside_by_scan(g, labels):
+    """Oracle: the first edge of the sorted negative edge list whose ends
+    share a label, or None."""
+    for u, v in g.neg_edges:
+        if labels[u] == labels[v]:
+            return u, v
+    return None
 
 
 def _components_from_edges(g):
@@ -201,32 +215,46 @@ def _components_from_edges(g):
     return tuple(find(v) for v in range(g.n + 1))
 
 
+def _unreadable(sign):
+    def fail(g):
+        raise AssertionError(f"{sign} edges were built")
+
+    return property(fail)
+
+
 class TestEdgeFreePaths:
-    """Regularity and the negative export never build the positive edges."""
+    """Regularity reads no edge list; each single-sign export reads only its
+    own sign's."""
 
-    @pytest.fixture(autouse=True)
+    @pytest.fixture
     def no_pos_edges(self, monkeypatch):
-        def fail(g):
-            raise AssertionError("positive edges were built")
+        monkeypatch.setattr(PrefixGraph, "pos_edges", _unreadable("positive"))
 
-        monkeypatch.setattr(PrefixGraph, "pos_edges", property(fail))
+    @pytest.fixture
+    def no_neg_edges(self, monkeypatch):
+        monkeypatch.setattr(PrefixGraph, "neg_edges", _unreadable("negative"))
 
+    @pytest.mark.usefixtures("no_pos_edges", "no_neg_edges")
     def test_regularity(self):
         y = (8, 0, 1, 0, 3, 0, 1, 0)
         ok, labels = is_regular(y)
         g = build_prefix_graph(y)
         assert ok and positive_components(g) == labels
         assert regular_string_from_components(g, labels) == s("a b a c a b a d")
-        ok, labels = is_regular((5, 0, 2, 1, 0))
-        g = build_prefix_graph((5, 0, 2, 1, 0))
-        assert not ok and positive_components(g) == labels
-        with pytest.raises(ValueError) as exc:
-            regular_string_from_components(g, labels)
-        assert str(exc.value) == (
-            "array is not regular: positions 1 and 2 must mismatch "
-            "but lie in one forced-match component"
-        )
+        # the witness names the least edge inside a component; for 4 1 2 0
+        # that is (1, 4), where a scan in the order of the array gives (2, 3)
+        for y, (u, v) in (((5, 0, 2, 1, 0), (1, 2)), ((4, 1, 2, 0), (1, 4))):
+            ok, labels = is_regular(y)
+            g = build_prefix_graph(y)
+            assert not ok and positive_components(g) == labels
+            with pytest.raises(ValueError) as exc:
+                regular_string_from_components(g, labels)
+            assert str(exc.value) == (
+                f"array is not regular: positions {u} and {v} must mismatch "
+                "but lie in one forced-match component"
+            )
 
+    @pytest.mark.usefixtures("no_pos_edges")
     def test_negative_export(self):
         g = build_prefix_graph((5, 0, 2, 1, 0))
         assert export_graph(g, fmt="json", sign="negative") == (
@@ -241,6 +269,17 @@ class TestEdgeFreePaths:
             "}\n"
         )
 
+    @pytest.mark.usefixtures("no_neg_edges")
+    def test_positive_export(self):
+        g = build_prefix_graph((5, 0, 2, 1, 0))
+        assert export_graph(g, fmt="json", sign="positive") == (
+            '{"n":5,"pos":[[1,3],[1,4],[2,4]]}'
+        )
+        assert export_graph(g, fmt="dot", sign="positive").endswith(
+            "  5;\n  1 -- 3;\n  1 -- 4;\n  2 -- 4;\n}\n"
+        )
+
+    @pytest.mark.usefixtures("no_pos_edges", "no_neg_edges")
     def test_cli_regular(self, capsys):
         assert cli.main(["regular", "8 0 1 0 3 0 1 0"]) == 0
         assert cli.main(["regular", "5 0 2 1 0"]) == 0
