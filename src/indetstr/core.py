@@ -151,6 +151,11 @@ def validate_feasible(values: Sequence[int]) -> FeasibleArray:
 #
 # Singleton letters print bare, multi-symbol letters print braced with the
 # symbols ascending.  parse(format(x)) == x for every valid x.
+#
+# Real texts repeat a few distinct tokens, so parse_string, parse_array and
+# format_string each keep a dict for the length of one call, from a token (or
+# a letter) to its result, and parse or render each distinct one once.  Only
+# results are stored: a bad token raises at its first occurrence.
 
 _SYMBOL_RE = re.compile(r"[a-z]|[1-9][0-9]*")
 _ARRAY_TOKEN_RE = re.compile(r"0|[1-9][0-9]*")
@@ -177,21 +182,32 @@ def format_letter(a: Letter) -> str:
 
 
 def format_string(x: Sequence[Letter]) -> str:
-    return " ".join(format_letter(a) for a in x)
+    memo: dict[Letter, str] = {}
+    out: list[str] = []
+    for a in x:
+        text = memo.get(a)
+        if text is None:
+            text = memo[a] = format_letter(a)
+        out.append(text)
+    return " ".join(out)
 
 
 def parse_string(text: str) -> IndetString:
     """Parse text like 'a b a {a,b} c' into a string of letters."""
+    memo: dict[str, Letter] = {}
     out: list[Letter] = []
     for k, tok in enumerate(text.split(), start=1):
-        if tok.startswith("{") and tok.endswith("}") and len(tok) > 2:
-            pieces = tok[1:-1].split(",")
-        else:
-            pieces = [tok]
-        try:
-            out.append(letter(_parse_symbol(p) for p in pieces))
-        except ValueError as e:
-            raise ParseError(f"bad token {tok!r} at position {k}: {e}", k) from None
+        a = memo.get(tok)
+        if a is None:
+            if tok.startswith("{") and tok.endswith("}") and len(tok) > 2:
+                pieces = tok[1:-1].split(",")
+            else:
+                pieces = [tok]
+            try:
+                a = memo[tok] = letter(_parse_symbol(p) for p in pieces)
+            except ValueError as e:
+                raise ParseError(f"bad token {tok!r} at position {k}: {e}", k) from None
+        out.append(a)
     return tuple(out)
 
 
@@ -200,12 +216,22 @@ def format_array(y: Sequence[int]) -> str:
 
 
 def parse_array(text: str) -> tuple[int, ...]:
-    """Parse space-separated nonnegative decimals; no feasibility check."""
+    """Parse space-separated nonnegative decimals; no feasibility check.
+
+    A decimal longer than the interpreter's int-string limit
+    (sys.get_int_max_str_digits) is a bad token too."""
+    memo: dict[str, int] = {}
     values: list[int] = []
     for k, tok in enumerate(text.split(), start=1):
-        if not _ARRAY_TOKEN_RE.fullmatch(tok):
-            raise ParseError(f"bad token {tok!r} at position {k}", k)
-        values.append(int(tok))
+        v = memo.get(tok)
+        if v is None:
+            if not _ARRAY_TOKEN_RE.fullmatch(tok):
+                raise ParseError(f"bad token {tok!r} at position {k}", k)
+            try:
+                v = memo[tok] = int(tok)
+            except ValueError as e:
+                raise ParseError(f"bad token {tok!r} at position {k}: {e}", k) from None
+        values.append(v)
     return tuple(values)
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+
+import pytest
 from hypothesis import strategies as st
 
 from indetstr import parse_string
@@ -34,3 +37,17 @@ def regular_strings(draw, min_n: int = 0, max_n: int = 10, max_sigma: int = 4):
 def s(text: str):
     """Shorthand: parse a string literal in the CLI grammar."""
     return parse_string(text)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Pin the interpreter's int-string limit at its default, 4300 digits,
+    for one test; skip where the interpreter has no such limit."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(saved)

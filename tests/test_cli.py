@@ -66,6 +66,11 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "y[4] = 3" in err
 
+    def test_overlong_decimal_is_usage_error(self, capsys, int_digit_limit):
+        assert run("check", "1" * (int_digit_limit + 1)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad token") and "position 1" in err
+
 
 class TestVerify:
     def test_pass(self, capsys):

@@ -23,6 +23,7 @@ from indetstr import (
     validate_feasible,
     verify_prefix_table,
 )
+from indetstr.core import _ARRAY_TOKEN_RE, _parse_symbol, format_letter
 
 # Published example pairs used as golden values throughout.
 GOLDEN_TABLES = [
@@ -81,6 +82,45 @@ def two_condition_verify(x, y):
         if i + v <= n and merge_scan_match(x[v], x[i + v - 1]):
             return TableCheck(False, i, "b")
     return TableCheck(True)
+
+
+# Reference copies of the text functions as they were before each kept a
+# per-call memo: every token is parsed, and every letter rendered, afresh.
+
+
+def reference_format_string(x):
+    return " ".join(format_letter(a) for a in x)
+
+
+def reference_parse_string(text):
+    out = []
+    for k, tok in enumerate(text.split(), start=1):
+        if tok.startswith("{") and tok.endswith("}") and len(tok) > 2:
+            pieces = tok[1:-1].split(",")
+        else:
+            pieces = [tok]
+        try:
+            out.append(letter(_parse_symbol(p) for p in pieces))
+        except ValueError as e:
+            raise ParseError(f"bad token {tok!r} at position {k}: {e}", k) from None
+    return tuple(out)
+
+
+def reference_parse_array(text):
+    values = []
+    for k, tok in enumerate(text.split(), start=1):
+        if not _ARRAY_TOKEN_RE.fullmatch(tok):
+            raise ParseError(f"bad token {tok!r} at position {k}", k)
+        values.append(int(tok))
+    return tuple(values)
+
+
+def outcome(fn, text):
+    """The result of fn(text), or its error as (type, message, token)."""
+    try:
+        return fn(text)
+    except ParseError as e:
+        return type(e), str(e), e.token
 
 
 def subset_letters(sigma):
@@ -323,10 +363,101 @@ class TestGrammar:
             parse_array("5 x 2")
         assert exc.value.token == 2
 
-    @given(indet_strings(max_sigma=30))
+    # max_sigma=30 reaches the decimal ranks above 26; the reference copies
+    # are the oracles of the per-call memo
+    @given(indet_strings(max_n=40, max_sigma=30))
     def test_string_roundtrip(self, x):
-        assert parse_string(format_string(x)) == x
+        text = format_string(x)
+        assert text == reference_format_string(x)
+        assert parse_string(text) == reference_parse_string(text) == x
 
     @given(feasible_arrays())
     def test_array_roundtrip(self, y):
-        assert parse_array(format_array(y)) == y
+        text = format_array(y)
+        assert parse_array(text) == reference_parse_array(text) == y
+
+    def test_error_messages(self):
+        for fn, text, message in [
+            (parse_string, "a A", "bad token 'A' at position 2: bad symbol 'A'"),
+            (
+                parse_string,
+                "a {b,a,b}",
+                "bad token '{b,a,b}' at position 2: duplicate symbol b in letter",
+            ),
+            (parse_array, "5 x 2", "bad token 'x' at position 2"),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                fn(text)
+            assert str(exc.value) == message
+
+    def test_overlong_decimal(self, int_digit_limit):
+        tok = "1" * (int_digit_limit + 1)
+        for fn in (parse_array, parse_string):
+            with pytest.raises(ParseError) as exc:
+                fn(f"1 {tok} x")
+            assert exc.value.token == 2
+            assert str(exc.value).startswith(f"bad token {tok!r} at position 2: ")
+            assert "limit" in str(exc.value)
+        assert parse_array("1" * int_digit_limit) == (int("1" * int_digit_limit),)
+
+
+# Tokens good and bad, each drawn many times over, for the memo oracles.
+STRING_TOKENS = [
+    "a", "b", "z", "27", "{a,b}", "{b,a}", "{a}", "{a,27}", "{27,a}",
+    "{a,a}", "{a,}", "{}", "0", "A", "01", "?", "{a,b", "a}", "{,}",
+]
+ARRAY_TOKENS = ["0", "1", "5", "10", "01", "00", "-1", "+1", "x", "1.0", "a"]
+MALFORMED_LETTERS = ["{a,a}", "{a,}", "{}", "0", "A", "01"]
+
+
+class TestGrammarOracle:
+    """parse_string, parse_array and format_string keep a per-call memo;
+    they must match the reference copies in results and errors."""
+
+    def test_strings_exhaustive(self):
+        letters = subset_letters(3)
+        for n in range(7):
+            for word in itertools.product(letters, repeat=n):
+                text = format_string(word)
+                assert text == reference_format_string(word)
+                assert parse_string(text) == reference_parse_string(text) == word
+
+    def test_arrays_exhaustive(self):
+        for n in range(8):
+            for tail in itertools.product(*(range(n - i + 2) for i in range(2, n + 1))):
+                text = format_array((n, *tail)) if n else ""
+                assert parse_array(text) == reference_parse_array(text)
+
+    @given(st.lists(st.sampled_from(STRING_TOKENS), max_size=30))
+    def test_string_tokens(self, tokens):
+        text = " ".join(tokens)
+        assert outcome(parse_string, text) == outcome(reference_parse_string, text)
+
+    @given(st.lists(st.sampled_from(ARRAY_TOKENS), max_size=30))
+    def test_array_tokens(self, tokens):
+        text = " ".join(tokens)
+        assert outcome(parse_array, text) == outcome(reference_parse_array, text)
+
+    @pytest.mark.parametrize("bad", MALFORMED_LETTERS)
+    def test_bad_letter_after_good_and_repeated(self, bad):
+        text = f"a b a {bad} a {bad} b"
+        got = outcome(parse_string, text)
+        assert got == outcome(reference_parse_string, text)
+        assert got[0] is ParseError and got[2] == 4
+
+    @pytest.mark.parametrize("bad", ["01", "x", "-1", "00"])
+    def test_bad_array_token_repeated(self, bad):
+        text = f"5 0 {bad} 0 {bad}"
+        got = outcome(parse_array, text)
+        assert got == outcome(reference_parse_array, text)
+        assert got[0] is ParseError and got[2] == 3
+
+    def test_bad_token_after_many_repeats(self):
+        for fn, ref, good, bad in [
+            (parse_string, reference_parse_string, "{a,b}", "{b,b}"),
+            (parse_array, reference_parse_array, "7", "07"),
+        ]:
+            text = " ".join([good] * 1000 + [bad, good, bad])
+            got = outcome(fn, text)
+            assert got == outcome(ref, text)
+            assert got[2] == 1001
