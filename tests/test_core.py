@@ -407,7 +407,6 @@ STRING_TOKENS = [
     "{a,a}", "{a,}", "{}", "0", "A", "01", "?", "{a,b", "a}", "{,}",
 ]
 ARRAY_TOKENS = ["0", "1", "5", "10", "01", "00", "-1", "+1", "x", "1.0", "a"]
-MALFORMED_LETTERS = ["{a,a}", "{a,}", "{}", "0", "A", "01"]
 
 
 class TestGrammarOracle:
@@ -423,9 +422,9 @@ class TestGrammarOracle:
                 assert parse_string(text) == reference_parse_string(text) == word
 
     def test_arrays_exhaustive(self):
-        for n in range(8):
+        for n in range(1, 8):
             for tail in itertools.product(*(range(n - i + 2) for i in range(2, n + 1))):
-                text = format_array((n, *tail)) if n else ""
+                text = format_array((n, *tail))
                 assert parse_array(text) == reference_parse_array(text)
 
     @given(st.lists(st.sampled_from(STRING_TOKENS), max_size=30))
@@ -438,7 +437,7 @@ class TestGrammarOracle:
         text = " ".join(tokens)
         assert outcome(parse_array, text) == outcome(reference_parse_array, text)
 
-    @pytest.mark.parametrize("bad", MALFORMED_LETTERS)
+    @pytest.mark.parametrize("bad", ["{a,a}", "{a,}", "{}", "0", "A", "01"])
     def test_bad_letter_after_good_and_repeated(self, bad):
         text = f"a b a {bad} a {bad} b"
         got = outcome(parse_string, text)
