@@ -9,7 +9,9 @@ negative edge, which is what both builders below exploit.
 
 The array is the graph's one stored fact; each edge structure is built from
 it on first read and then cached.  Regularity builds none: it reads the
-components and the negative edges straight off the array.
+components and the negative edges straight off the array.  _regular_labels
+decides regularity in O(n) for infer, which then colours the components
+without any edge list.
 
 build_prefix_graph is the one feasibility check on the graph's paths: infer,
 is_regular and the graph command build the graph from the array here, so
@@ -134,6 +136,59 @@ def positive_components(g: PrefixGraph) -> tuple[int, ...]:
     for v in range(1, n + 1):
         labels[v] = labels[labels[v]]
     return tuple(labels)
+
+
+def _regular_labels(y: FeasibleArray) -> tuple[int, ...] | None:
+    """positive_components' labels when y is regular, else None, in O(n).
+
+    y is feasible.  Builds the canonical regular string x left to right,
+    0-based: a box is [k, k+y[k]) for k >= 1, and position j copies x[j-l]
+    when the box [l, r) reaching farthest over k <= j has j < r, else it
+    takes the fresh id j+1.  Copies follow positive edges (j-l, j), so an id
+    is the smallest 1-based member of its class.  A Z-scan checks that x has
+    prefix table y.  Inside its Z-box [zl, zr) it takes y[i-zl] as the Z
+    value of i-zl, since every earlier entry has matched; it builds x only
+    as far as it reads, and stops at the first mismatch.
+
+    A returned x realizes y, so y is regular, and its classes are the
+    positive components: they hold every positive edge and grow only along
+    them.  Conversely, let a regular string realize y.  Then y obeys the
+    Z-box lemma, and every positive edge (j-k, j) holds in x, by induction
+    on j.  Boxes k and l both cover j.  If k > l, box k-l covers j-l; if
+    k < l, box l-k covers j-k.  Either way x[j-k] = x[j-l] = x[j].  Equal
+    ids come only from positive edges, so x also mismatches where every
+    realization does, and x realizes y.
+    """
+    n = len(y)
+    if n == 0:
+        return (0,)
+    x = [1]
+    bl = br = 0  # farthest box [bl, br) over the positions built so far
+    zl = zr = 0  # Z-box: x[zl:zr] == x[:zr-zl]
+    for i in range(1, n):
+        if i < zr:
+            z = y[i - zl]
+            if z < zr - i:
+                if y[i] != z:
+                    return None
+                continue
+            k = zr
+        else:
+            k = i
+        while k < n:
+            while len(x) <= k:
+                j = len(x)
+                if j + y[j] > br:
+                    bl, br = j, j + y[j]
+                x.append(x[j - bl] if j < br else j + 1)
+            if x[k] != x[k - i]:
+                break
+            k += 1
+        if k - i != y[i]:
+            return None
+        if k > zr:
+            zl, zr = i, k
+    return (0, *x)
 
 
 def _negative_edge_in_component(

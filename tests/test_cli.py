@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import word_table
 from indetstr import cli, growth_trend
 from indetstr.bench import CSV_HEADER
 from test_inference import GOLDEN_TRACE_50210
@@ -54,6 +55,12 @@ class TestInfer:
     def test_infeasible(self, capsys):
         assert run("infer", "5 0 2 3 0") == 1
         assert "y[4]" in capsys.readouterr().err
+
+    def test_regular_at_scale(self, capsys):
+        # regular arrays whose positive edges number about 2*10^8 each
+        for word in ("a" * 20000, "aaaab" * 4000):
+            assert run("infer", " ".join(map(str, word_table(word)))) == 0
+            assert capsys.readouterr().out == " ".join(word) + "\n"
 
 
 class TestCheck:

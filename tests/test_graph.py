@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import feasible_arrays, regular_strings, s
+from conftest import feasible_arrays, regular_strings, regular_tables, s
 from indetstr import (
     FeasibleArrayError,
     PrefixGraph,
@@ -25,7 +25,7 @@ from indetstr import (
     regular_string_from_components,
     verify_prefix_table,
 )
-from indetstr.graph import _negative_edge_in_component
+from indetstr.graph import _negative_edge_in_component, _regular_labels
 
 
 class TestBuildPrefixGraph:
@@ -186,6 +186,50 @@ class TestRegularity:
         assert is_regular(y)[1] == expected
         inside = _first_inside_by_scan(g, expected)
         assert _negative_edge_in_component(g, expected) == inside
+
+
+class TestRegularVerdict:
+    """_regular_labels against is_regular, its O(n log n) reference."""
+
+    def test_golden(self):
+        assert _regular_labels((8, 0, 1, 0, 3, 0, 1, 0)) == (0, 1, 2, 1, 4, 1, 2, 1, 8)
+        assert _regular_labels((5, 0, 2, 1, 0)) is None
+        assert _regular_labels(()) == (0,)
+        assert _regular_labels((1,)) == (0, 1)
+
+    def test_matches_is_regular_exhaustive(self):
+        for n in range(9):
+            for y in enumerate_feasible(n):
+                ok, labels = is_regular(y)
+                assert _regular_labels(y) == (labels if ok else None), y
+
+    def test_labels_are_components_on_regular_arrays(self):
+        for n in range(12):
+            for y in regular_tables(n):
+                assert _regular_labels(y) == positive_components(build_prefix_graph(y)), y
+
+    @settings(deadline=None)
+    @given(st.one_of(
+        feasible_arrays(max_n=200),
+        regular_strings(max_n=200).map(compute_prefix_table),
+    ))
+    def test_matches_is_regular(self, y):
+        ok, labels = is_regular(y)
+        assert _regular_labels(y) == (labels if ok else None)
+
+    def test_stops_at_first_mismatch(self):
+        # y[2] = 2 puts positions 1..3 in one component, against y[3] = 0,
+        # so the verdict has no need to read far into the array
+        read = set()
+
+        class Recording(tuple):
+            def __getitem__(self, i):
+                read.add(i)
+                return tuple.__getitem__(self, i)
+
+        n = 1000
+        assert _regular_labels(Recording((n, 2, 0) + (0,) * (n - 3))) is None
+        assert max(read) < 5
 
 
 def _first_inside_by_scan(g, labels):

@@ -7,10 +7,12 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import feasible_arrays, s
+from conftest import feasible_arrays, regular_strings, regular_tables, s, word_table
 from indetstr import (
     FeasibleArrayError,
+    PrefixGraph,
     brute_force_lex_least,
     compute_prefix_table,
     enumerate_feasible,
@@ -200,3 +202,47 @@ class TestAlphabet:
         x, trace = infer_with_trace(y)
         assert x == s("a {a,b} {a,c} b {b,c}") == brute_force_lex_least(y)[0]
         assert trace[-1] == "fill b at 5"
+
+
+def _unreadable(name):
+    def fail(g):
+        raise AssertionError(f"{name} was built")
+
+    return property(fail)
+
+
+class TestRegularFastPath:
+    """infer answers regular arrays by colouring components; it must give
+    the string of the walk that infer_with_trace runs."""
+
+    def test_matches_walk_exhaustive(self):
+        for n in range(9):
+            for y in enumerate_feasible(n):
+                assert infer(y) == infer_with_trace(y)[0], y
+
+    def test_matches_walk_on_regular_arrays(self):
+        for n in range(12):
+            for y in regular_tables(n):
+                assert infer(y) == infer_with_trace(y)[0], y
+
+    @settings(deadline=None)
+    @given(st.one_of(
+        feasible_arrays(max_n=200),
+        regular_strings(max_n=200).map(compute_prefix_table),
+    ))
+    def test_matches_walk(self, y):
+        assert infer(y) == infer_with_trace(y)[0]
+
+    def test_builds_no_edges(self, monkeypatch):
+        for name in ("pos_edges", "neg_edges", "neg_adj"):
+            monkeypatch.setattr(PrefixGraph, name, _unreadable(name))
+        assert infer((8, 0, 1, 0, 3, 0, 1, 0)) == s("a b a c a b a d")
+        assert infer((4, 3, 2, 1)) == s("a a a a")
+        with pytest.raises(AssertionError, match="was built"):
+            infer((5, 0, 2, 1, 0))
+
+    def test_scale(self):
+        # the walk would visit about 2*10^8 positive edges on each of these
+        for word in ("a" * 20000, "aaaab" * 4000):
+            x = infer(word_table(word))
+            assert x == tuple((ord(c) - 96,) for c in word)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import s
+from conftest import regular_tables, s, word_table
 from indetstr import (
     BudgetExceeded,
     brute_force_is_regular,
@@ -143,6 +143,28 @@ class TestBruteForceIsRegular:
         monkeypatch.setattr(oracle, "MAX_CANDIDATES", 2)
         with pytest.raises(BudgetExceeded):
             brute_force_is_regular((4, 0, 0, 0))
+
+
+class TestRegularTables:
+    """The enumeration of regular arrays that the fast paths are checked on."""
+
+    def test_word_table_matches_scan(self):
+        for n in range(9):
+            for w in oracle._canonical_regular(n):
+                assert word_table(w) == compute_prefix_table(w)
+
+    def test_matches_every_restricted_growth_word(self):
+        # restricted-growth words cover every regular string up to renaming,
+        # so their distinct tables are exactly the regular arrays
+        for n in range(10):
+            tables = list(regular_tables(n))
+            assert len(tables) == len(set(tables))
+            assert set(tables) == {word_table(w) for w in oracle._canonical_regular(n)}
+
+    def test_counts(self):
+        # n = 10 and 11 counted once over all Bell(n) restricted-growth words
+        counts = [1, 1, 2, 4, 9, 20, 47, 110, 263, 630, 1525, 3701]
+        assert [sum(1 for _ in regular_tables(n)) for n in range(12)] == counts
 
 
 @given(st.integers(0, 3), st.data())
