@@ -24,6 +24,7 @@ from indetstr import (
     is_regular,
     symbols_used,
 )
+from test_graph import _unreadable
 
 GOLDEN_TRACE_50210 = [
     "edge (1,3)",
@@ -204,13 +205,6 @@ class TestAlphabet:
         assert trace[-1] == "fill b at 5"
 
 
-def _unreadable(name):
-    def fail(g):
-        raise AssertionError(f"{name} was built")
-
-    return property(fail)
-
-
 class TestRegularFastPath:
     """infer answers regular arrays by colouring components; it must give
     the string of the walk that infer_with_trace runs."""
@@ -234,11 +228,12 @@ class TestRegularFastPath:
         assert infer(y) == infer_with_trace(y)[0]
 
     def test_builds_no_edges(self, monkeypatch):
-        for name in ("pos_edges", "neg_edges", "neg_adj"):
-            monkeypatch.setattr(PrefixGraph, name, _unreadable(name))
+        monkeypatch.setattr(PrefixGraph, "pos_edges", _unreadable("positive"))
+        monkeypatch.setattr(PrefixGraph, "neg_edges", _unreadable("negative"))
+        monkeypatch.setattr(PrefixGraph, "neg_adj", _unreadable("negative"))
         assert infer((8, 0, 1, 0, 3, 0, 1, 0)) == s("a b a c a b a d")
         assert infer((4, 3, 2, 1)) == s("a a a a")
-        with pytest.raises(AssertionError, match="was built"):
+        with pytest.raises(AssertionError, match="edges were built"):
             infer((5, 0, 2, 1, 0))
 
     def test_scale(self):
