@@ -10,8 +10,10 @@ negative edge, which is what both builders below exploit.
 The array is the graph's one stored fact; each edge structure is built from
 it on first read and then cached.  Regularity builds none: it reads the
 components and the negative edges straight off the array.  _regular_labels
-decides regularity in O(n) for infer, which then colours the components
-without any edge list.
+decides regularity in O(n) and is the one labeller of a regular array:
+positive_components, and so is_regular, take its labels, and infer colours
+them without any edge list.  Only a non-regular array reaches the range
+union, _range_union.
 
 build_prefix_graph is the one feasibility check on the graph's paths: infer,
 is_regular and the graph command build the graph from the array here, so
@@ -87,16 +89,24 @@ def positive_components(g: PrefixGraph) -> tuple[int, ...]:
     """labels[v] = smallest vertex in v's component of the positive subgraph.
 
     Indexed by vertex, so index 0 is unused (it stays 0).  Reads g.y, not
-    g.pos_edges, in O(n log n).  Entry y[i] = L > 0 equates the ranges
-    [1..L] and [i..i+L-1] position by position.  With k = floor(log2 L) and
-    d = L - 2^k, that is the same as equating the blocks of length 2^k that
-    start at 1 and i, and those that start at 1+d and i+d, since each pair
-    of blocks overlaps and covers its range.  Level k keeps a union-find
-    over block starts.  From the top level down, every block that stopped
-    being a root at level k unions both of its halves with the halves of
-    its root at level k-1; level 0 then holds the components of positions.
+    g.pos_edges: a regular y is labelled by _regular_labels in O(n), any
+    other by _range_union in O(n log n).
     """
-    y = g.y
+    return _regular_labels(g.y) or _range_union(g.y)
+
+
+def _range_union(y: FeasibleArray) -> tuple[int, ...]:
+    """positive_components' labels for any feasible y, in O(n log n).
+
+    Entry y[i] = L > 0 equates the ranges [1..L] and [i..i+L-1] position by
+    position.  With k = floor(log2 L) and d = L - 2^k, that is the same as
+    equating the blocks of length 2^k that start at 1 and i, and those that
+    start at 1+d and i+d, since each pair of blocks overlaps and covers its
+    range.  Level k keeps a union-find over block starts.  From the top
+    level down, every block that stopped being a root at level k unions both
+    of its halves with the halves of its root at level k-1; level 0 then
+    holds the components of positions.
+    """
     n = len(y)
     levels = max(max(y[1:], default=0).bit_length(), 1)
     starts = list(range(n + 1))
@@ -139,7 +149,7 @@ def positive_components(g: PrefixGraph) -> tuple[int, ...]:
 
 
 def _regular_labels(y: FeasibleArray) -> tuple[int, ...] | None:
-    """positive_components' labels when y is regular, else None, in O(n).
+    """The positive components' labels when y is regular, else None, in O(n).
 
     y is feasible.  Builds the canonical regular string x left to right,
     0-based: a box is [k, k+y[k]) for k >= 1, and position j copies x[j-l]
@@ -191,26 +201,19 @@ def _regular_labels(y: FeasibleArray) -> tuple[int, ...] | None:
     return (0, *x)
 
 
-def _negative_edge_in_component(
-    g: PrefixGraph, labels: Sequence[int]
-) -> Edge | None:
-    """The least negative edge with both ends in one positive component."""
-    inside = (e for e in _negative_edges(g.y) if labels[e[0]] == labels[e[1]])
-    return min(inside, default=None)
-
-
 def is_regular(y: Sequence[int]) -> tuple[bool, tuple[int, ...]]:
     """Whether some regular string realizes y, plus the component labeling.
 
     Positive edges force equality of regular letters, so each positive
     component carries one symbol; y is regular exactly when no negative edge
-    has both ends in the same component.  The components come from a range
-    union over the array in O(n log n), so no edge list is built.
+    has both ends in the same component.  The labels come from
+    positive_components, in O(n) for a regular y, and the check stops at the
+    first negative edge inside a component, so no edge list is built.
     Raises FeasibleArrayError (from build_prefix_graph) when y is infeasible.
     """
     g = build_prefix_graph(y)
     labels = positive_components(g)
-    return _negative_edge_in_component(g, labels) is None, labels
+    return all(labels[u] != labels[v] for u, v in _negative_edges(g.y)), labels
 
 
 def regular_string_from_components(
@@ -219,12 +222,12 @@ def regular_string_from_components(
     """Regular witness: one fresh symbol per positive component.
 
     Components are numbered by smallest member, so the output is
-    deterministic.  Raises ValueError when some negative edge stays inside a
-    component (no regular witness exists).
+    deterministic.  Raises ValueError naming the least negative edge that
+    stays inside a component, when there is one (no regular witness exists).
     """
-    inside = _negative_edge_in_component(g, labels)
-    if inside is not None:
-        u, v = inside
+    inside = [e for e in _negative_edges(g.y) if labels[e[0]] == labels[e[1]]]
+    if inside:
+        u, v = min(inside)
         raise ValueError(
             f"array is not regular: positions {u} and {v} must mismatch "
             "but lie in one forced-match component"

@@ -25,7 +25,7 @@ from indetstr import (
     regular_string_from_components,
     verify_prefix_table,
 )
-from indetstr.graph import _negative_edge_in_component, _regular_labels
+from indetstr.graph import _range_union, _regular_labels
 
 
 class TestBuildPrefixGraph:
@@ -162,16 +162,18 @@ class TestRegularity:
                         regular_string_from_components(g, labels)
 
     def test_components_match_edge_oracle_exhaustive(self):
+        # regular arrays included, which positive_components labels without
+        # the range union
         for n in range(9):
             for y in enumerate_feasible(n):
                 g = build_prefix_graph(y)
                 expected = _components_from_edges(g)
+                assert _range_union(y) == expected, y
                 assert positive_components(g) == expected, y
                 ok, labels = is_regular(y)
                 assert labels == expected, y
                 assert ok == all(expected[u] != expected[v] for u, v in g.neg_edges)
-                inside = _first_inside_by_scan(g, expected)
-                assert _negative_edge_in_component(g, expected) == inside, y
+                _check_witness(g, expected, _first_inside_by_scan(g, expected))
 
     @settings(deadline=None)
     @given(st.one_of(
@@ -182,14 +184,15 @@ class TestRegularity:
     def test_components_match_edge_oracle(self, y):
         g = build_prefix_graph(y)
         expected = _components_from_edges(g)
+        assert _range_union(y) == expected
         assert positive_components(g) == expected
         assert is_regular(y)[1] == expected
-        inside = _first_inside_by_scan(g, expected)
-        assert _negative_edge_in_component(g, expected) == inside
+        _check_witness(g, expected, _first_inside_by_scan(g, expected))
 
 
 class TestRegularVerdict:
-    """_regular_labels against is_regular, its O(n log n) reference."""
+    """_regular_labels against the range union and against is_regular, whose
+    answers TestRegularity checks with the edge oracle."""
 
     def test_golden(self):
         assert _regular_labels((8, 0, 1, 0, 3, 0, 1, 0)) == (0, 1, 2, 1, 4, 1, 2, 1, 8)
@@ -206,7 +209,8 @@ class TestRegularVerdict:
     def test_labels_are_components_on_regular_arrays(self):
         for n in range(12):
             for y in regular_tables(n):
-                assert _regular_labels(y) == positive_components(build_prefix_graph(y)), y
+                # positive_components would compare the verdict with itself
+                assert _regular_labels(y) == _range_union(y), y
 
     @settings(deadline=None)
     @given(st.one_of(
@@ -239,6 +243,21 @@ def _first_inside_by_scan(g, labels):
         if labels[u] == labels[v]:
             return u, v
     return None
+
+
+def _check_witness(g, labels, inside):
+    """regular_string_from_components names the edge inside, or returns a
+    one-symbol witness when inside is None."""
+    if inside is None:
+        assert all(len(a) == 1 for a in regular_string_from_components(g, labels))
+        return
+    with pytest.raises(ValueError) as exc:
+        regular_string_from_components(g, labels)
+    u, v = inside
+    assert str(exc.value) == (
+        f"array is not regular: positions {u} and {v} must mismatch "
+        "but lie in one forced-match component"
+    )
 
 
 def _components_from_edges(g):
