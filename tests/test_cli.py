@@ -164,12 +164,26 @@ class TestRegular:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "y[4] = 3" in err
 
-    def test_regular_at_scale(self, capsys):
-        # regular arrays whose positive edges number about 2*10^8 for a^n and
-        # 4*10^7 for the periodic word, so these pass only when no edge is built
-        for word in ("a" * 20000, "aaaab" * 4000):
-            assert run("regular", " ".join(map(str, word_table(word)))) == 0
-            assert capsys.readouterr().out == "regular\n"
+    # 20,000 positions: the positive edges number about 2*10^8 for a^n and
+    # 4*10^7 for the periodic word, so these pass only when no edge is built
+    def test_scale_unary(self, capsys):
+        assert run("regular", " ".join(map(str, word_table("a" * 20000)))) == 0
+        assert capsys.readouterr().out == "regular\n"
+
+    def test_scale_period_five(self, capsys):
+        # (aaaab)^k: a full-length box at each period start, a^(4-j) at
+        # offset j = 1..3 of a period and 0 at each b
+        def table(n):
+            return [
+                n - i if i % 5 == 0 else min(4 - i % 5, n - i)
+                for i in range(n)
+            ]
+
+        assert run("pt", " ".join(("aaaab" * 5)[:23])) == 0
+        assert capsys.readouterr().out == " ".join(map(str, table(23))) + "\n"
+        assert table(20000) == list(word_table("aaaab" * 4000))
+        assert run("regular", " ".join(map(str, table(20000)))) == 0
+        assert capsys.readouterr().out == "regular\n"
 
 
 class TestGen:
