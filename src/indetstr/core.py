@@ -125,20 +125,28 @@ def verify_prefix_table(x: Sequence[Letter], y: Sequence[int]) -> TableCheck:
 def validate_feasible(values: Sequence[int]) -> FeasibleArray:
     """Return the array as a validated tuple.
 
-    Feasible means y[1] = n and 0 <= y[i] <= n-i+1 for i in 2..n.  The empty
-    array is feasible (the empty string).  Raises FeasibleArrayError naming
-    the first violating 1-based index.
+    Feasible means every entry is an int (bools count, as Python's ints),
+    y[1] = n and 0 <= y[i] <= n-i+1 for i in 2..n.  The empty array is
+    feasible (the empty string).  Raises FeasibleArrayError naming the first
+    violating 1-based index.
     """
     y = tuple(values)
     n = len(y)
     if n == 0:
         return y
+    if not isinstance(y[0], int):
+        raise FeasibleArrayError(f"y[1] = {y[0]!r} is not an integer", 1)
     if y[0] != n:
         raise FeasibleArrayError(f"y[1] = {y[0]} but must equal the length {n}", 1)
-    for i in range(2, n + 1):
-        v = y[i - 1]
-        if v < 0 or v > n - i + 1:
-            raise FeasibleArrayError(f"y[{i}] = {v} out of range 0..{n - i + 1}", i)
+    # bound is n-i+1, the largest entry allowed at i; y[1] = n passes again
+    bound = n
+    for v in y:
+        if not (isinstance(v, int) and 0 <= v <= bound):
+            i = n + 1 - bound
+            if not isinstance(v, int):
+                raise FeasibleArrayError(f"y[{i}] = {v!r} is not an integer", i)
+            raise FeasibleArrayError(f"y[{i}] = {v} out of range 0..{bound}", i)
+        bound -= 1
     return y
 
 

@@ -7,13 +7,14 @@ edge (1+y[i], i+y[i]) exists exactly when i+y[i] <= n.  Any string realizes
 the array iff it matches along every positive edge and mismatches along every
 negative edge, which is what both builders below exploit.
 
-The array is the graph's one stored fact; each edge structure is built from
-it on first read and then cached.  Regularity builds none: it reads the
-components and the negative edges straight off the array.  _regular_labels
-decides regularity in O(n) and is the one labeller of a regular array:
-positive_components, and so is_regular, take its labels, and infer colours
-them without any edge list.  Only a non-regular array reaches the range
-union, _range_union.
+The array is the graph's one stored fact; every other fact is read off it
+once, on first use, and cached on the graph.  The regularity verdict is one
+of them: _regular_labels decides it in O(n) and is the one labeller of a
+regular array.  positive_components, and so is_regular, take its labels, and
+infer colours them without any edge list.  Only a non-regular array reaches
+the range union, _range_union.  No view reads another: neg_adj, which only
+the walk reads, is built from the array, not from neg_edges, the sorted view
+that only the negative export reads.
 
 build_prefix_graph is the one feasibility check on the graph's paths: infer,
 is_regular and the graph command build the graph from the array here, so
@@ -42,8 +43,10 @@ def _negative_edges(y: FeasibleArray) -> Iterator[Edge]:
 class PrefixGraph:
     """Vertices 1..n of the feasible array y, the one stored field.
 
-    Each edge structure is derived from y on first read and then cached, so
-    only readers pay; both edge lists ascend by (u, v) with u < v.
+    Four views are read off y on first use and then cached, so only readers
+    pay: neg_edges and pos_edges ascend by (u, v) with u < v, neg_adj holds
+    each vertex's negative neighbours, and regular_labels is the regularity
+    verdict (_regular_labels).
     """
 
     y: FeasibleArray
@@ -60,10 +63,11 @@ class PrefixGraph:
     def neg_adj(self) -> tuple[tuple[int, ...], ...]:
         """Negative neighbours of each vertex, ascending; index 0 unused."""
         adj: list[list[int]] = [[] for _ in range(self.n + 1)]
-        # neg_edges is in (u, v) order, so each list fills in ascending order
-        for u, v in self.neg_edges:
+        for u, v in _negative_edges(self.y):
             adj[u].append(v)
             adj[v].append(u)
+        for row in adj:
+            row.sort()
         return tuple(tuple(l) for l in adj)
 
     @cached_property
@@ -75,6 +79,10 @@ class PrefixGraph:
                 pos.append((h, i + h - 1))
         pos.sort()
         return tuple(pos)
+
+    @cached_property
+    def regular_labels(self) -> tuple[int, ...] | None:
+        return _regular_labels(self.y)
 
 
 def build_prefix_graph(y: Sequence[int]) -> PrefixGraph:
@@ -89,10 +97,10 @@ def positive_components(g: PrefixGraph) -> tuple[int, ...]:
     """labels[v] = smallest vertex in v's component of the positive subgraph.
 
     Indexed by vertex, so index 0 is unused (it stays 0).  Reads g.y, not
-    g.pos_edges: a regular y is labelled by _regular_labels in O(n), any
-    other by _range_union in O(n log n).
+    g.pos_edges: a regular y takes the verdict's labels, g.regular_labels,
+    in O(n), any other y is labelled by _range_union in O(n log n).
     """
-    return _regular_labels(g.y) or _range_union(g.y)
+    return g.regular_labels or _range_union(g.y)
 
 
 def _range_union(y: FeasibleArray) -> tuple[int, ...]:
@@ -206,14 +214,15 @@ def is_regular(y: Sequence[int]) -> tuple[bool, tuple[int, ...]]:
 
     Positive edges force equality of regular letters, so each positive
     component carries one symbol; y is regular exactly when no negative edge
-    has both ends in the same component.  The labels come from
-    positive_components, in O(n) for a regular y, and the check stops at the
-    first negative edge inside a component, so no edge list is built.
+    has both ends in the same component.  That is what the verdict
+    g.regular_labels decides, in O(n) and without reading an edge (the proof
+    is in _regular_labels), so no edge is scanned here.  The labels come
+    from positive_components, which reads the verdict first.
     Raises FeasibleArrayError (from build_prefix_graph) when y is infeasible.
     """
     g = build_prefix_graph(y)
     labels = positive_components(g)
-    return all(labels[u] != labels[v] for u, v in _negative_edges(g.y)), labels
+    return g.regular_labels is not None, labels
 
 
 def regular_string_from_components(

@@ -30,13 +30,14 @@ not in general: for 5 2 3 1 1 the walk uses four symbols where
 {a,b} {a,c} {b,c} a b uses three.  A minimum alphabet is a clique cover
 problem, so the walk stays greedy and polynomial rather than exact.
 
-A regular array skips the walk in infer.  An O(n) verdict
-(graph._regular_labels) yields its positive components, and each component
-takes the smallest symbol that no earlier component (by smallest member)
-joined to it by a negative edge holds.  No edge list is built: the quotient
-graph has at most n-1 edges, so the table of a^n, with n(n-1)/2 positive
-edges, costs O(n).  The result always realizes the array, because positive
-edges stay inside a component and negative ones join components of
+infer chooses between two paths on the graph's regularity verdict,
+PrefixGraph.regular_labels, and _walk is only the walk.  A regular array
+skips it: the O(n) verdict yields its positive components, and each
+component takes the smallest symbol that no earlier component (by smallest
+member) joined to it by a negative edge holds.  No edge list is built: the
+quotient graph has at most n-1 edges, so the table of a^n, with n(n-1)/2
+positive edges, costs O(n).  The result always realizes the array, because
+positive edges stay inside a component and negative ones join components of
 different symbols.  That it is also the walk's string is not proven; it is
 checked on every feasible array up to length 8, every regular array up to
 length 11, hypothesis draws up to length 200 and the benchmark pools.
@@ -48,7 +49,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .core import FeasibleArray, IndetString, render_symbol
-from .graph import _negative_edges, _regular_labels, build_prefix_graph
+from .graph import PrefixGraph, _negative_edges, build_prefix_graph
 
 Trace = list[str]
 
@@ -93,12 +94,8 @@ def _colour_components(y: FeasibleArray, labels: Sequence[int]) -> IndetString:
     return tuple(letters[colour[c]] for c in labels[1:])
 
 
-def _run(y: Sequence[int], trace: Trace | None) -> IndetString:
-    g = build_prefix_graph(y)
-    if trace is None:
-        labels = _regular_labels(g.y)
-        if labels is not None:
-            return _colour_components(g.y, labels)
+def _walk(g: PrefixGraph, trace: Trace | None) -> IndetString:
+    """The walk of the module docstring over g, logging to trace if given."""
     neg_adj = g.neg_adj
     letters = [0] * (g.n + 1)  # index 0 unused
     ban = [0] * (g.n + 1)  # ban[p] == OR of letters[q], q a negative neighbour
@@ -175,21 +172,26 @@ def infer(y: Sequence[int]) -> IndetString:
     """Indeterminate string with prefix table y, least as far as the walk reaches.
 
     Exact (lex-least on a minimum alphabet) for every y of length <= 4; see
-    the module docstring for what holds beyond that.  A regular y is
-    answered in O(n) from its components, with one-symbol letters and no
-    walk.
+    the module docstring for what holds beyond that.  The graph's
+    regularity verdict chooses the path: a regular y is answered in O(n) by
+    colouring its components, with one-symbol letters, and any other y is
+    walked.
     """
-    return _run(y, None)
+    g = build_prefix_graph(y)
+    if g.regular_labels is not None:
+        return _colour_components(g.y, g.regular_labels)
+    return _walk(g, None)
 
 
 def infer_with_trace(y: Sequence[int]) -> tuple[IndetString, Trace]:
     """Like infer, also returning the event log (trace format v1).
 
-    Always runs the walk, regular y included, so the log has every edge.
+    Always walks, regular y included, so the log has every edge; it never
+    reads the regularity verdict.
 
     One line per event: 'edge (i,j)', 'skip', 'accept s at p', 'reject s at
     p', 'new s at i,j', 'forbid s at p1,p2,...', 'fill s at p'.
     """
     trace: Trace = []
-    x = _run(y, trace)
+    x = _walk(build_prefix_graph(y), trace)
     return x, trace

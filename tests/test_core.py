@@ -13,9 +13,13 @@ from indetstr import (
     FeasibleArrayError,
     ParseError,
     TableCheck,
+    build_prefix_graph,
     compute_prefix_table,
+    export_graph,
     format_array,
     format_string,
+    infer,
+    is_regular,
     letter,
     letters_match,
     parse_array,
@@ -324,6 +328,29 @@ class TestValidateFeasible:
         with pytest.raises(FeasibleArrayError) as exc:
             validate_feasible((3, -1, 0))
         assert exc.value.index == 2
+
+    def test_non_integer_entry(self):
+        # an in-range float is not an entry; the first one is named
+        for y, i, text in (
+            ((3, 0.5, 0), 2, "y[2] = 0.5 is not an integer"),
+            ((3, 0, 1.0), 3, "y[3] = 1.0 is not an integer"),
+            ((3.0, 0, 0), 1, "y[1] = 3.0 is not an integer"),
+            ((3, "1", 0.5), 2, "y[2] = '1' is not an integer"),
+        ):
+            with pytest.raises(FeasibleArrayError) as exc:
+                validate_feasible(y)
+            assert (exc.value.index, str(exc.value)) == (i, text)
+        # bools are ints, and stay accepted
+        assert validate_feasible((3, True, False)) == (3, True, False)
+
+    def test_non_integer_entry_through_the_api(self):
+        # each validates through build_prefix_graph before any arithmetic
+        with pytest.raises(FeasibleArrayError):
+            is_regular((3, 0.5, 0))
+        with pytest.raises(FeasibleArrayError):
+            infer((3, 1.0, 0))
+        with pytest.raises(FeasibleArrayError):
+            export_graph(build_prefix_graph((3, 1.0, 0)), "json")
 
 
 class TestGrammar:

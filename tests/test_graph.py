@@ -19,12 +19,14 @@ from indetstr import (
     edge_label_string,
     enumerate_feasible,
     export_graph,
+    infer,
     is_regular,
     isolated_positive_vertices,
     positive_components,
     regular_string_from_components,
     verify_prefix_table,
 )
+from indetstr import graph as graph_module
 from indetstr.graph import _range_union, _regular_labels
 
 
@@ -96,7 +98,8 @@ class TestBuildPrefixGraph:
             assert exc.value.index == 2
 
     def test_neg_adjacency_sorted_exhaustive(self):
-        # each list is built ascending from the sorted edges, with no re-sort
+        # each row is built from the array's negative edges and sorted in
+        # place; it must be the row that the sorted edge list gives
         for n in range(8):
             for y in enumerate_feasible(n):
                 g = build_prefix_graph(y)
@@ -286,8 +289,9 @@ def _unreadable(sign):
 
 
 class TestEdgeFreePaths:
-    """Regularity reads no edge list; each single-sign export reads only its
-    own sign's."""
+    """Regularity reads no edge list, and is_regular scans no negative edge;
+    the walk's adjacency reads the array, not neg_edges; each single-sign
+    export reads only its own sign's list."""
 
     @pytest.fixture
     def no_pos_edges(self, monkeypatch):
@@ -316,6 +320,23 @@ class TestEdgeFreePaths:
                 f"array is not regular: positions {u} and {v} must mismatch "
                 "but lie in one forced-match component"
             )
+
+    def test_is_regular_scans_no_negative_edge(self, monkeypatch):
+        # the graph's verdict decides; is_regular holds no test of its own
+        def no_scan(y):
+            raise AssertionError("negative edges were scanned")
+
+        monkeypatch.setattr(graph_module, "_negative_edges", no_scan)
+        assert is_regular((8, 0, 1, 0, 3, 0, 1, 0)) == (
+            True, (0, 1, 2, 1, 4, 1, 2, 1, 8)
+        )
+        assert is_regular((5, 0, 2, 1, 0)) == (False, (0, 1, 1, 1, 1, 5))
+
+    @pytest.mark.usefixtures("no_neg_edges")
+    def test_walk_reads_no_negative_edge_list(self):
+        g = build_prefix_graph((5, 0, 2, 1, 0))
+        assert g.neg_adj == ((), (2, 5), (1, 5), (5,), (), (1, 2, 3))
+        assert infer((5, 0, 2, 1, 0)) == s("a b a {a,b} c")
 
     @pytest.mark.usefixtures("no_pos_edges")
     def test_negative_export(self):
