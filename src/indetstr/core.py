@@ -134,10 +134,8 @@ def validate_feasible(values: Sequence[int]) -> FeasibleArray:
     n = len(y)
     if n == 0:
         return y
-    if not isinstance(y[0], int):
-        raise FeasibleArrayError(f"y[1] = {y[0]!r} is not an integer", 1)
     if y[0] != n:
-        raise FeasibleArrayError(f"y[1] = {y[0]} but must equal the length {n}", 1)
+        raise FeasibleArrayError(f"y[1] = {y[0]!r} but must equal the length {n}", 1)
     # bound is n-i+1, the largest entry allowed at i; y[1] = n passes again
     bound = n
     for v in y:

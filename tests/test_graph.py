@@ -189,13 +189,15 @@ class TestRegularity:
         expected = _components_from_edges(g)
         assert _range_union(y) == expected
         assert positive_components(g) == expected
-        assert is_regular(y)[1] == expected
-        _check_witness(g, expected, _first_inside_by_scan(g, expected))
+        inside = _first_inside_by_scan(g, expected)
+        assert is_regular(y) == (inside is None, expected)
+        _check_witness(g, expected, inside)
 
 
 class TestRegularVerdict:
-    """_regular_labels against the range union and against is_regular, whose
-    answers TestRegularity checks with the edge oracle."""
+    """_regular_labels and is_regular against a scan of every negative edge
+    over the range-union labels, which TestRegularity checks with the edge
+    oracle."""
 
     def test_golden(self):
         assert _regular_labels((8, 0, 1, 0, 3, 0, 1, 0)) == (0, 1, 2, 1, 4, 1, 2, 1, 8)
@@ -206,8 +208,7 @@ class TestRegularVerdict:
     def test_matches_is_regular_exhaustive(self):
         for n in range(9):
             for y in enumerate_feasible(n):
-                ok, labels = is_regular(y)
-                assert _regular_labels(y) == (labels if ok else None), y
+                _check_verdict(y)
 
     def test_labels_are_components_on_regular_arrays(self):
         for n in range(12):
@@ -221,8 +222,7 @@ class TestRegularVerdict:
         regular_strings(max_n=200).map(compute_prefix_table),
     ))
     def test_matches_is_regular(self, y):
-        ok, labels = is_regular(y)
-        assert _regular_labels(y) == (labels if ok else None)
+        _check_verdict(y)
 
     def test_stops_at_first_mismatch(self):
         # y[2] = 2 puts positions 1..3 in one component, against y[3] = 0,
@@ -246,6 +246,15 @@ def _first_inside_by_scan(g, labels):
         if labels[u] == labels[v]:
             return u, v
     return None
+
+
+def _check_verdict(y):
+    """The verdict and is_regular call y regular exactly when no negative
+    edge has both ends in one range-union component."""
+    labels = _range_union(y)
+    ok = _first_inside_by_scan(build_prefix_graph(y), labels) is None
+    assert _regular_labels(y) == (labels if ok else None), y
+    assert is_regular(y) == (ok, labels), y
 
 
 def _check_witness(g, labels, inside):
