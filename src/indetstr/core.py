@@ -11,7 +11,7 @@ tuples, so the letter order is Python's tuple order: a strict prefix comes
 first, otherwise the smaller symbol at the first difference decides, so
 {a,b,w,x,y,z} precedes {a,c}.  Strings, as tuples of letters, are ordered
 the same way.  Matching is a set intersection test, and the one prefix-table
-scan runs it over frozenset copies of the letters.
+scan runs it over frozenset copies of the letters, one per distinct letter.
 
 External indexing is 1-based everywhere (reports, diagnostics, exports);
 internally plain 0-based sequences are used.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Symbol = int
 Letter = tuple[Symbol, ...]
@@ -63,6 +63,15 @@ def letters_match(a: Letter, b: Letter) -> bool:
     return not set(a).isdisjoint(b)
 
 
+def _map_once(fn: Callable, items: Sequence) -> Iterator:
+    """fn over items, called once per distinct item in order of first
+    occurrence; equal items get one shared result."""
+    results = dict.fromkeys(items)
+    for item in results:
+        results[item] = fn(item)
+    return map(results.__getitem__, items)
+
+
 def _prefix_entries(x: Sequence[Letter]) -> Iterator[int]:
     """The prefix table of x entry by entry, by a plain quadratic scan: the
     one scan behind compute_prefix_table and verify_prefix_table."""
@@ -70,7 +79,10 @@ def _prefix_entries(x: Sequence[Letter]) -> Iterator[int]:
     if n == 0:
         return
     yield n
-    sets = [frozenset(a) for a in x]
+    try:
+        sets = list(_map_once(frozenset, x))
+    except TypeError:  # unhashable letters, such as lists
+        sets = [frozenset(a) for a in x]
     for i in range(1, n):
         j = 0
         while i + j < n and not sets[j].isdisjoint(sets[i + j]):
@@ -159,12 +171,21 @@ def validate_feasible(values: Sequence[int]) -> FeasibleArray:
 # symbols ascending.  parse(format(x)) == x for every valid x.
 #
 # Real texts repeat a few distinct tokens, so parse_string, parse_array and
-# format_string each keep a dict for the length of one call, from a token (or
-# a letter) to its result, and parse or render each distinct one once.  Only
-# results are stored: a bad token raises at its first occurrence.
+# format_string convert each distinct token (or letter) once per call, through
+# _map_once, in order of first occurrence.  The parsers share _parse_tokens,
+# the one place a ParseError is built; since the first bad token is the first
+# to be converted, it raises at its first position.  An error quotes at most
+# the first _QUOTE_MAX characters of a token, and then its length.
 
 _SYMBOL_RE = re.compile(r"[a-z]|[1-9][0-9]*")
 _ARRAY_TOKEN_RE = re.compile(r"0|[1-9][0-9]*")
+_QUOTE_MAX = 40
+
+
+def _quote(text: str) -> str:
+    if len(text) <= _QUOTE_MAX:
+        return repr(text)
+    return f"{text[:_QUOTE_MAX]!r}... ({len(text)} characters)"
 
 
 def render_symbol(rank: Symbol) -> str:
@@ -175,7 +196,7 @@ def render_symbol(rank: Symbol) -> str:
 
 def _parse_symbol(text: str) -> Symbol:
     if not _SYMBOL_RE.fullmatch(text):
-        raise ValueError(f"bad symbol {text!r}")
+        raise ValueError(f"bad symbol {_quote(text)}")
     if text.isalpha():
         return ord(text) - ord("a") + 1
     return int(text)
@@ -188,37 +209,44 @@ def format_letter(a: Letter) -> str:
 
 
 def format_string(x: Sequence[Letter]) -> str:
-    memo: dict[Letter, str] = {}
-    out: list[str] = []
-    for a in x:
-        text = memo.get(a)
-        if text is None:
-            text = memo[a] = format_letter(a)
-        out.append(text)
-    return " ".join(out)
+    return " ".join(_map_once(format_letter, x))
+
+
+def _parse_tokens(text: str, parse: Callable) -> tuple:
+    """parse over the tokens of text.  A ValueError from parse becomes a
+    ParseError at the token's first position, with the error's message as
+    the reason when it has one."""
+    tokens = text.split()
+
+    def checked(tok: str):
+        try:
+            return parse(tok)
+        except ValueError as e:
+            k = tokens.index(tok) + 1
+            reason = f": {e}" if e.args else ""
+            raise ParseError(f"bad token {_quote(tok)} at position {k}{reason}", k) from None
+
+    return tuple(_map_once(checked, tokens))
+
+
+def _parse_letter(tok: str) -> Letter:
+    braced = tok.startswith("{") and tok.endswith("}") and len(tok) > 2
+    return letter(map(_parse_symbol, tok[1:-1].split(",") if braced else [tok]))
 
 
 def parse_string(text: str) -> IndetString:
     """Parse text like 'a b a {a,b} c' into a string of letters."""
-    memo: dict[str, Letter] = {}
-    out: list[Letter] = []
-    for k, tok in enumerate(text.split(), start=1):
-        a = memo.get(tok)
-        if a is None:
-            if tok.startswith("{") and tok.endswith("}") and len(tok) > 2:
-                pieces = tok[1:-1].split(",")
-            else:
-                pieces = [tok]
-            try:
-                a = memo[tok] = letter(_parse_symbol(p) for p in pieces)
-            except ValueError as e:
-                raise ParseError(f"bad token {tok!r} at position {k}: {e}", k) from None
-        out.append(a)
-    return tuple(out)
+    return _parse_tokens(text, _parse_letter)
 
 
 def format_array(y: Sequence[int]) -> str:
     return " ".join(str(v) for v in y)
+
+
+def _parse_decimal(tok: str) -> int:
+    if not _ARRAY_TOKEN_RE.fullmatch(tok):
+        raise ValueError  # no reason: the message names the token alone
+    return int(tok)
 
 
 def parse_array(text: str) -> tuple[int, ...]:
@@ -226,19 +254,7 @@ def parse_array(text: str) -> tuple[int, ...]:
 
     A decimal longer than the interpreter's int-string limit
     (sys.get_int_max_str_digits) is a bad token too."""
-    memo: dict[str, int] = {}
-    values: list[int] = []
-    for k, tok in enumerate(text.split(), start=1):
-        v = memo.get(tok)
-        if v is None:
-            if not _ARRAY_TOKEN_RE.fullmatch(tok):
-                raise ParseError(f"bad token {tok!r} at position {k}", k)
-            try:
-                v = memo[tok] = int(tok)
-            except ValueError as e:
-                raise ParseError(f"bad token {tok!r} at position {k}: {e}", k) from None
-        values.append(v)
-    return tuple(values)
+    return _parse_tokens(text, _parse_decimal)
 
 
 def symbols_used(x: Sequence[Letter]) -> frozenset[Symbol]:

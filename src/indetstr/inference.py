@@ -19,6 +19,8 @@ below its largest one that is not banned there, since under the letter
 order each such symbol makes the letter smaller; this never changes the
 alphabet and breaks no edge.  A filled letter gains nothing, because every
 smaller symbol was banned at it when it was filled and bans only grow.
+Each distinct final mask becomes a tuple once, so equal letters of the
+result are one shared object.
 
 What the result guarantees: it realizes the array on symbols 1..sigma
 densely; no fresh symbol is opened while an existing one is admissible at
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import FeasibleArray, IndetString, render_symbol
+from .core import FeasibleArray, IndetString, _map_once, render_symbol
 from .graph import PrefixGraph, _negative_edges, build_prefix_graph
 
 Trace = list[str]
@@ -165,7 +167,7 @@ def _walk(g: PrefixGraph, trace: Trace | None) -> IndetString:
             if trace is not None:
                 for sym in _symbols(add):
                     trace.append(f"fill {render_symbol(sym)} at {p}")
-    return tuple(_symbols(lp) for lp in letters[1:])
+    return tuple(_map_once(_symbols, letters[1:]))
 
 
 def infer(y: Sequence[int]) -> IndetString:

@@ -77,6 +77,7 @@ class TestCheck:
         assert run("check", "1" * (int_digit_limit + 1)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad token") and "position 1" in err
+        assert len(err) < 300  # the token is clipped, not quoted whole
 
 
 class TestVerify:

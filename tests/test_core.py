@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import feasible_arrays, indet_strings, regular_strings, s
+from conftest import feasible_arrays, indet_strings, regular_strings, s, word_table
 from indetstr import (
     FeasibleArrayError,
     ParseError,
@@ -36,25 +36,6 @@ GOLDEN_TABLES = [
     ("{a,b} {a,c} c {a,b} b c {a,c} b", (8, 2, 0, 1, 4, 0, 1, 1)),
     ("{a,b} {a,c} {a,d} {c,e} a {b,e} c d", (8, 2, 4, 0, 1, 3, 0, 0)),
 ]
-
-
-def z_function_table(word):
-    """Independent reference for regular strings: textbook Z-array with
-    z[0] = n, which is exactly the prefix table when letters are symbols."""
-    n = len(word)
-    if n == 0:
-        return ()
-    z = [0] * n
-    z[0] = n
-    left = right = 0
-    for i in range(1, n):
-        if i < right:
-            z[i] = min(right - i, z[i - left])
-        while i + z[i] < n and word[z[i]] == word[i + z[i]]:
-            z[i] += 1
-        if i + z[i] > right:
-            left, right = i, i + z[i]
-    return tuple(z)
 
 
 def merge_scan_match(a, b):
@@ -238,7 +219,28 @@ class TestComputePrefixTable:
     @given(regular_strings())
     def test_agrees_with_z_function_on_regular(self, x):
         word = [a[0] for a in x]
-        assert compute_prefix_table(x) == z_function_table(word)
+        assert compute_prefix_table(x) == word_table(word)
+
+    def test_one_frozenset_per_distinct_letter(self, monkeypatch):
+        x = s("a b a {a,b} c a b {a,b} a")
+        table = compute_prefix_table(x)
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return frozenset(a)
+
+        monkeypatch.setattr("indetstr.core.frozenset", counting, raising=False)
+        assert compute_prefix_table(x) == table
+        assert calls == [(1,), (2,), (1, 2), (3,)]
+
+    def test_list_letters(self):
+        # lists are unhashable, so the scan cannot share their sets
+        x = [[1, 3], [2], [1], [1, 2], [3], [1, 2]]
+        table = compute_prefix_table(tuple(map(tuple, x)))
+        assert compute_prefix_table(x) == table == (6, 0, 2, 1, 2, 1)
+        assert verify_prefix_table(x, table)
+        assert verify_prefix_table(x, (6, 0, 2, 1, 1, 1)) == TableCheck(False, 5, "b")
 
 
 class TestVerifyPrefixTable:
@@ -417,13 +419,34 @@ class TestGrammar:
                 fn(text)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("n", [1, 40, 41, 5000])
+    def test_long_token_clipped(self, n):
+        # a token of up to 40 characters is quoted whole, as the reference
+        # copies quote it; a longer one by its first 40 and its length
+        bad = "?" * n
+        q = repr(bad) if n <= 40 else f"{'?' * 40!r}... ({n} characters)"
+        for fn, text, message in [
+            (parse_array, f"1 {bad}", f"bad token {q} at position 2"),
+            (parse_string, f"a {bad}", f"bad token {q} at position 2: bad symbol {q}"),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                fn(text)
+            assert str(exc.value) == message
+            assert exc.value.token == 2
+        with pytest.raises(ParseError) as exc:
+            parse_string(f"a {{a,{bad}}}")
+        assert str(exc.value).endswith(f": bad symbol {q}")
+        assert len(str(exc.value)) < 200
+
     def test_overlong_decimal(self, int_digit_limit):
         tok = "1" * (int_digit_limit + 1)
         for fn in (parse_array, parse_string):
             with pytest.raises(ParseError) as exc:
                 fn(f"1 {tok} x")
             assert exc.value.token == 2
-            assert str(exc.value).startswith(f"bad token {tok!r} at position 2: ")
+            assert str(exc.value).startswith(
+                f"bad token {tok[:40]!r}... ({len(tok)} characters) at position 2: "
+            )
             assert "limit" in str(exc.value)
         assert parse_array("1" * int_digit_limit) == (int("1" * int_digit_limit),)
 

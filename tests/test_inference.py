@@ -64,6 +64,12 @@ class TestGoldenRuns:
         assert x == s("a b a {a,b} c")
         assert trace == GOLDEN_TRACE_50210
 
+    def test_equal_letters_are_one_object(self):
+        # the walk converts each distinct final letter to a tuple once
+        for x in (infer((6, 1, 4, 3, 0, 0)), infer_with_trace((6, 1, 4, 3, 0, 0))[0]):
+            assert x[4] == x[5] == (3, 4)
+            assert x[4] is x[5]
+
     def test_no_positive_edges(self):
         assert infer((3, 0, 0)) == s("a b b")
         assert infer((4, 0, 0, 0)) == s("a b b b")
