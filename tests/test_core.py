@@ -419,7 +419,7 @@ class TestGrammar:
                 fn(text)
             assert str(exc.value) == message
 
-    @pytest.mark.parametrize("n", [1, 40, 41, 5000])
+    @pytest.mark.parametrize("n", [40, 41, 5000])
     def test_long_token_clipped(self, n):
         # a token of up to 40 characters is quoted whole, as the reference
         # copies quote it; a longer one by its first 40 and its length
