@@ -45,6 +45,17 @@ class FeasibleArrayError(ValueError):
         self.index = index
 
 
+# Error messages show a value from outside whole up to _QUOTE_MAX characters,
+# and a longer one by its first _QUOTE_MAX characters and its length.
+_QUOTE_MAX = 40
+
+
+def _clip(text: str, show: Callable[[str], str] = str) -> str:
+    if len(text) <= _QUOTE_MAX:
+        return show(text)
+    return f"{show(text[:_QUOTE_MAX])}... ({len(text)} characters)"
+
+
 def letter(symbols: Iterable[int]) -> Letter:
     """Normalize symbols into a letter: sorted, nonempty, no duplicates."""
     syms = tuple(sorted(symbols))
@@ -54,7 +65,7 @@ def letter(symbols: Iterable[int]) -> Letter:
         raise ValueError("symbol ranks start at 1")
     for a, b in zip(syms, syms[1:]):
         if a == b:
-            raise ValueError(f"duplicate symbol {render_symbol(a)} in letter")
+            raise ValueError(f"duplicate symbol {_clip(render_symbol(a))} in letter")
     return syms
 
 
@@ -147,15 +158,17 @@ def validate_feasible(values: Sequence[int]) -> FeasibleArray:
     if n == 0:
         return y
     if y[0] != n:
-        raise FeasibleArrayError(f"y[1] = {y[0]!r} but must equal the length {n}", 1)
+        raise FeasibleArrayError(
+            f"y[1] = {_clip(repr(y[0]))} but must equal the length {n}", 1
+        )
     # bound is n-i+1, the largest entry allowed at i; y[1] = n passes again
     bound = n
     for v in y:
         if not (isinstance(v, int) and 0 <= v <= bound):
             i = n + 1 - bound
             if not isinstance(v, int):
-                raise FeasibleArrayError(f"y[{i}] = {v!r} is not an integer", i)
-            raise FeasibleArrayError(f"y[{i}] = {v} out of range 0..{bound}", i)
+                raise FeasibleArrayError(f"y[{i}] = {_clip(repr(v))} is not an integer", i)
+            raise FeasibleArrayError(f"y[{i}] = {_clip(format(v))} out of range 0..{bound}", i)
         bound -= 1
     return y
 
@@ -174,18 +187,11 @@ def validate_feasible(values: Sequence[int]) -> FeasibleArray:
 # format_string convert each distinct token (or letter) once per call, through
 # _map_once, in order of first occurrence.  The parsers share _parse_tokens,
 # the one place a ParseError is built; since the first bad token is the first
-# to be converted, it raises at its first position.  An error quotes at most
-# the first _QUOTE_MAX characters of a token, and then its length.
+# to be converted, it raises at its first position.  An error quotes a token
+# through _clip.
 
 _SYMBOL_RE = re.compile(r"[a-z]|[1-9][0-9]*")
 _ARRAY_TOKEN_RE = re.compile(r"0|[1-9][0-9]*")
-_QUOTE_MAX = 40
-
-
-def _quote(text: str) -> str:
-    if len(text) <= _QUOTE_MAX:
-        return repr(text)
-    return f"{text[:_QUOTE_MAX]!r}... ({len(text)} characters)"
 
 
 def render_symbol(rank: Symbol) -> str:
@@ -196,7 +202,7 @@ def render_symbol(rank: Symbol) -> str:
 
 def _parse_symbol(text: str) -> Symbol:
     if not _SYMBOL_RE.fullmatch(text):
-        raise ValueError(f"bad symbol {_quote(text)}")
+        raise ValueError(f"bad symbol {_clip(text, repr)}")
     if text.isalpha():
         return ord(text) - ord("a") + 1
     return int(text)
@@ -224,7 +230,7 @@ def _parse_tokens(text: str, parse: Callable) -> tuple:
         except ValueError as e:
             k = tokens.index(tok) + 1
             reason = f": {e}" if e.args else ""
-            raise ParseError(f"bad token {_quote(tok)} at position {k}{reason}", k) from None
+            raise ParseError(f"bad token {_clip(tok, repr)} at position {k}{reason}", k) from None
 
     return tuple(_map_once(checked, tokens))
 

@@ -14,7 +14,10 @@ regular array.  positive_components, and so is_regular, take its labels, and
 infer colours them without any edge list.  Only a non-regular array reaches
 the range union, _range_union.  No view reads another: neg_adj, which only
 the walk reads, is built from the array, not from neg_edges, the sorted view
-that only the negative export reads.
+that only the negative export reads.  pos_edges, the sorted positive edge
+tuples, has one reader too, the walk: the export and edge_label_string take
+the positive edges from _positive_levels, which lists them level by level
+off the array, already in (u, v) order.
 
 build_prefix_graph is the one feasibility check on the graph's paths: infer,
 is_regular and the graph command build the graph from the array here, so
@@ -23,7 +26,6 @@ each raises FeasibleArrayError for an infeasible array.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -39,6 +41,31 @@ def _negative_edges(y: FeasibleArray) -> Iterator[Edge]:
     return ((1 + v, i + v) for i, v in enumerate(y, 1) if i + v <= n)
 
 
+def _positive_levels(y: FeasibleArray) -> Iterator[tuple[int, list[int]]]:
+    """The positive edges (h, v) level by level: (h, vs) for h = 1, 2, ...,
+    vs the ascending i+h-1 over the i >= 2 with y[i] >= h.
+
+    Levels ascend and so does each vs, so the edges come in (u, v) order
+    without a sort.  Each level is filtered from the one before it, so the
+    cost is Θ(|E+| + n).
+    """
+    vs = [i for i in range(2, len(y) + 1) if y[i - 1]]
+    h = 1
+    while vs:
+        yield h, vs
+        # v = i+h-1 carries on to level h+1 when y[i] > h; y[i] is y[v-h]
+        vs = [v + 1 for v in vs if y[v - h] > h]
+        h += 1
+
+
+def _level_lines(y: FeasibleArray, head: str, tail: str, sep: str) -> Iterator[str]:
+    """One text per positive level: each edge (h, v) of the level rendered as
+    head.format(h) + str(v) + tail, joined by sep."""
+    for h, vs in _positive_levels(y):
+        hs = head.format(h)
+        yield hs + (tail + sep + hs).join(map(str, vs)) + tail
+
+
 @dataclass(frozen=True)
 class PrefixGraph:
     """Vertices 1..n of the feasible array y, the one stored field.
@@ -46,7 +73,7 @@ class PrefixGraph:
     Four views are read off y on first use and then cached, so only readers
     pay: neg_edges and pos_edges ascend by (u, v) with u < v, neg_adj holds
     each vertex's negative neighbours, and regular_labels is the regularity
-    verdict (_regular_labels).
+    verdict (_regular_labels).  Only the walk reads pos_edges.
     """
 
     y: FeasibleArray
@@ -253,15 +280,18 @@ def edge_label_string(g: PrefixGraph) -> IndetString:
 
     Two positions share a symbol iff a positive edge joins them, so positive
     pairs match and negative pairs cannot.  Positions with no incident edge
-    get a private fresh symbol.  Edge symbols are ranked by the edge's sorted
-    position, the private symbols after all edges.
+    get a private fresh symbol.  Edge symbols are ranked by the edge's (u, v)
+    order, which _positive_levels gives, the private symbols after all edges.
     """
     incident: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for r, (u, v) in enumerate(g.pos_edges, start=1):
-        incident[u].append(r)
-        incident[v].append(r)
+    r = 0
+    for u, vs in _positive_levels(g.y):
+        for v in vs:
+            r += 1
+            incident[u].append(r)
+            incident[v].append(r)
     letters: list[tuple[int, ...]] = []
-    next_rank = len(g.pos_edges) + 1
+    next_rank = r + 1
     for v in range(1, g.n + 1):
         if incident[v]:
             letters.append(tuple(incident[v]))
@@ -295,26 +325,27 @@ def export_graph(g: PrefixGraph, fmt: str = "dot", sign: str = "both") -> str:
 
     DOT declares every vertex (isolated ones stay visible) and draws negative
     edges dashed.  JSON is {"n": ..., "pos": [[u,v],...], "neg": [[u,v],...]}
-    with only the requested sign lists present.
+    with only the requested sign lists present.  Both list the edges of each
+    sign in (u, v) order; the positive ones are written level by level from
+    the array (_level_lines), never as edge tuples.
     """
     if sign not in ("positive", "negative", "both"):
         raise ValueError(f"unknown sign {sign!r}")
     want_pos = sign in ("positive", "both")
     want_neg = sign in ("negative", "both")
     if fmt == "json":
-        doc: dict = {"n": g.n}
+        text = f'{{"n":{g.n}'
         if want_pos:
-            doc["pos"] = g.pos_edges
+            text += ',"pos":[' + ",".join(_level_lines(g.y, "[{},", "]", ",")) + "]"
         if want_neg:
-            doc["neg"] = g.neg_edges
-        return json.dumps(doc, separators=(",", ":"))
+            text += ',"neg":[' + ",".join(f"[{u},{v}]" for u, v in g.neg_edges) + "]"
+        return text + "}"
     if fmt == "dot":
         lines = ["graph prefix_graph {"]
         for v in range(1, g.n + 1):
             lines.append(f"  {v};")
         if want_pos:
-            for u, v in g.pos_edges:
-                lines.append(f"  {u} -- {v};")
+            lines.extend(_level_lines(g.y, "  {} -- ", ";", "\n"))
         if want_neg:
             for u, v in g.neg_edges:
                 lines.append(f"  {u} -- {v} [style=dashed];")

@@ -80,6 +80,25 @@ class TestCheck:
         assert len(err) < 300  # the token is clipped, not quoted whole
 
 
+class TestClippedValues:
+    """A long value in a feasibility or letter error is shown by its first
+    40 characters and its length, not whole."""
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["check", "1" * 4000], 1,
+         f"error: y[1] = {'1' * 40}... (4000 characters) but must equal the length 1\n"),
+        (["check", f"3 {'9' * 4000} 0"], 1,
+         f"error: y[2] = {'9' * 40}... (4000 characters) out of range 0..2\n"),
+        (["pt", f"{{{'1' * 4000},{'1' * 4000}}}"], 2,
+         f"error: bad token {'{' + '1' * 39!r}... (8003 characters) at position 1: "
+         f"duplicate symbol {'1' * 40}... (4000 characters) in letter\n"),
+    ], ids=["length", "range", "letter"])
+    def test_stderr_is_short(self, capsys, int_digit_limit, argv, code, err):
+        assert run(*argv) == code
+        assert capsys.readouterr().err == err
+        assert len(err) < 300
+
+
 class TestVerify:
     def test_pass(self, capsys):
         assert run("verify", "a b a {a,b} c", "5 0 2 1 0") == 0

@@ -345,6 +345,27 @@ class TestValidateFeasible:
         # bools are ints, and stay accepted
         assert validate_feasible((3, True, False)) == (3, True, False)
 
+    @pytest.mark.parametrize("chars", [40, 41, 600])
+    def test_long_value_clipped(self, chars):
+        # a value shown in up to 40 characters is shown whole, as before; a
+        # longer one by its first 40 characters and its length
+        def shown(text):
+            return text if chars <= 40 else f"{text[:40]}... ({chars} characters)"
+
+        big = int("9" * chars)
+        word = "9" * (chars - 2)  # its repr has chars characters
+        for y, text in (
+            ((big, 0), f"y[1] = {shown(str(big))} but must equal the length 2"),
+            ((2, big), f"y[2] = {shown(str(big))} out of range 0..1"),
+            ((2, word), f"y[2] = {shown(repr(word))} is not an integer"),
+        ):
+            with pytest.raises(FeasibleArrayError) as exc:
+                validate_feasible(y)
+            assert str(exc.value) == text
+        with pytest.raises(ValueError) as exc:
+            letter((big, big))
+        assert str(exc.value) == f"duplicate symbol {shown(str(big))} in letter"
+
     def test_non_integer_entry_through_the_api(self):
         # each validates through build_prefix_graph before any arithmetic
         with pytest.raises(FeasibleArrayError):

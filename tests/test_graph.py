@@ -27,7 +27,7 @@ from indetstr import (
     verify_prefix_table,
 )
 from indetstr import graph as graph_module
-from indetstr.graph import _range_union, _regular_labels
+from indetstr.graph import _positive_levels, _range_union, _regular_labels
 
 
 class TestBuildPrefixGraph:
@@ -299,8 +299,10 @@ def _unreadable(sign):
 
 class TestEdgeFreePaths:
     """Regularity reads no edge list, and is_regular scans no negative edge;
-    the walk's adjacency reads the array, not neg_edges; each single-sign
-    export reads only its own sign's list."""
+    the walk's adjacency reads the array, not neg_edges; the export and
+    edge_label_string read the positive edges off the array level by level
+    (_positive_levels), never pos_edges, and only the negative export reads
+    neg_edges."""
 
     @pytest.fixture
     def no_pos_edges(self, monkeypatch):
@@ -362,7 +364,7 @@ class TestEdgeFreePaths:
             "}\n"
         )
 
-    @pytest.mark.usefixtures("no_neg_edges")
+    @pytest.mark.usefixtures("no_pos_edges", "no_neg_edges")
     def test_positive_export(self):
         g = build_prefix_graph((5, 0, 2, 1, 0))
         assert export_graph(g, fmt="json", sign="positive") == (
@@ -372,6 +374,32 @@ class TestEdgeFreePaths:
             "  5;\n  1 -- 3;\n  1 -- 4;\n  2 -- 4;\n}\n"
         )
 
+    @pytest.mark.usefixtures("no_pos_edges")
+    def test_export_of_both_signs(self):
+        g = build_prefix_graph((5, 0, 2, 1, 0))
+        assert export_graph(g, fmt="json") == (
+            '{"n":5,"pos":[[1,3],[1,4],[2,4]],"neg":[[1,2],[1,5],[2,5],[3,5]]}'
+        )
+        assert export_graph(g, fmt="dot").endswith(
+            "  5;\n  1 -- 3;\n  1 -- 4;\n  2 -- 4;\n"
+            "  1 -- 2 [style=dashed];\n"
+            "  1 -- 5 [style=dashed];\n"
+            "  2 -- 5 [style=dashed];\n"
+            "  3 -- 5 [style=dashed];\n"
+            "}\n"
+        )
+
+    @pytest.mark.usefixtures("no_pos_edges", "no_neg_edges")
+    def test_edge_label_string(self):
+        g = build_prefix_graph((5, 0, 2, 1, 0))
+        assert edge_label_string(g) == ((1, 2), (3,), (1,), (2, 3), (4,))
+
+    def test_positive_levels(self):
+        # level h holds the edges (h, i+h-1) of the i >= 2 with y[i] >= h
+        assert list(_positive_levels((5, 0, 2, 1, 0))) == [(1, [3, 4]), (2, [4])]
+        assert list(_positive_levels((4, 0, 0, 0))) == []
+        assert list(_positive_levels(())) == []
+
     @pytest.mark.usefixtures("no_pos_edges", "no_neg_edges")
     def test_cli_regular(self, capsys):
         assert cli.main(["regular", "8 0 1 0 3 0 1 0"]) == 0
@@ -379,6 +407,81 @@ class TestEdgeFreePaths:
         assert capsys.readouterr().out == (
             "regular\nindeterminate-only (components: 2)\n"
         )
+
+
+def reference_export(g, fmt="dot", sign="both"):
+    """Oracle: export_graph over the sorted edge tuples, g.pos_edges and
+    g.neg_edges, with json.dumps writing the JSON."""
+    if sign not in ("positive", "negative", "both"):
+        raise ValueError(f"unknown sign {sign!r}")
+    want_pos = sign in ("positive", "both")
+    want_neg = sign in ("negative", "both")
+    if fmt == "json":
+        doc: dict = {"n": g.n}
+        if want_pos:
+            doc["pos"] = g.pos_edges
+        if want_neg:
+            doc["neg"] = g.neg_edges
+        return json.dumps(doc, separators=(",", ":"))
+    if fmt == "dot":
+        lines = ["graph prefix_graph {"]
+        for v in range(1, g.n + 1):
+            lines.append(f"  {v};")
+        if want_pos:
+            for u, v in g.pos_edges:
+                lines.append(f"  {u} -- {v};")
+        if want_neg:
+            for u, v in g.neg_edges:
+                lines.append(f"  {u} -- {v} [style=dashed];")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def reference_edge_label_string(g):
+    """Oracle: edge_label_string with each edge ranked by its place in the
+    sorted g.pos_edges."""
+    incident: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for r, (u, v) in enumerate(g.pos_edges, start=1):
+        incident[u].append(r)
+        incident[v].append(r)
+    letters: list[tuple[int, ...]] = []
+    next_rank = len(g.pos_edges) + 1
+    for v in range(1, g.n + 1):
+        if incident[v]:
+            letters.append(tuple(incident[v]))
+        else:
+            letters.append((next_rank,))
+            next_rank += 1
+    return tuple(letters)
+
+
+def _check_against_reference(y):
+    g = build_prefix_graph(y)
+    for fmt in ("json", "dot"):
+        for sign in ("positive", "negative", "both"):
+            assert export_graph(g, fmt, sign) == reference_export(g, fmt, sign), (
+                y, fmt, sign
+            )
+    assert edge_label_string(g) == reference_edge_label_string(g), y
+
+
+class TestExportOracle:
+    """The level-by-level export and edge_label_string give the references'
+    output byte for byte."""
+
+    def test_matches_reference_exhaustive(self):
+        for n in range(9):
+            for y in enumerate_feasible(n):
+                _check_against_reference(y)
+
+    @settings(deadline=None)
+    @given(st.one_of(
+        feasible_arrays(max_n=200),
+        regular_strings(max_n=200).map(compute_prefix_table),
+    ))
+    def test_matches_reference(self, y):
+        _check_against_reference(y)
 
 
 class TestRegularWitness:
