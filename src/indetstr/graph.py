@@ -47,7 +47,7 @@ def _positive_levels(y: FeasibleArray) -> Iterator[tuple[int, list[int]]]:
 
     Levels ascend and so does each vs, so the edges come in (u, v) order
     without a sort.  Each level is filtered from the one before it, so the
-    cost is Θ(|E+| + n).
+    cost is O(|E+| + n).
     """
     vs = [i for i in range(2, len(y) + 1) if y[i - 1]]
     h = 1

@@ -301,8 +301,8 @@ class TestEdgeFreePaths:
     """Regularity reads no edge list, and is_regular scans no negative edge;
     the walk's adjacency reads the array, not neg_edges; the export and
     edge_label_string read the positive edges off the array level by level
-    (_positive_levels), never pos_edges, and only the negative export reads
-    neg_edges."""
+    (_positive_levels), never pos_edges, and only the export of negative
+    edges reads neg_edges."""
 
     @pytest.fixture
     def no_pos_edges(self, monkeypatch):
