@@ -19,6 +19,7 @@ internally plain 0-based sequences are used.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -56,6 +57,18 @@ def _clip(text: str, show: Callable[[str], str] = str) -> str:
     return f"{show(text[:_QUOTE_MAX])}... ({len(text)} characters)"
 
 
+def _clip_value(value: object, render: Callable[[object], str] = repr) -> str:
+    """_clip(render(value)).  An int of more than _QUOTE_MAX digits, which
+    every renderer here writes as str(value), loses all but its first 40 to
+    42 digits to a division first, since str() refuses an int longer than
+    the int-string limit; the length shown still counts them."""
+    if not (isinstance(value, int) and abs(value) >= 10**_QUOTE_MAX):
+        return _clip(render(value))
+    low = max(int(math.log10(abs(value))) - _QUOTE_MAX, 0)  # digits divided off
+    text = "-" * (value < 0) + str(abs(value) // 10**low)
+    return f"{text[:_QUOTE_MAX]}... ({len(text) + low} characters)"
+
+
 def letter(symbols: Iterable[int]) -> Letter:
     """Normalize symbols into a letter: sorted, nonempty, no duplicates."""
     syms = tuple(sorted(symbols))
@@ -65,7 +78,7 @@ def letter(symbols: Iterable[int]) -> Letter:
         raise ValueError("symbol ranks start at 1")
     for a, b in zip(syms, syms[1:]):
         if a == b:
-            raise ValueError(f"duplicate symbol {_clip(render_symbol(a))} in letter")
+            raise ValueError(f"duplicate symbol {_clip_value(a, render_symbol)} in letter")
     return syms
 
 
@@ -159,7 +172,7 @@ def validate_feasible(values: Sequence[int]) -> FeasibleArray:
         return y
     if y[0] != n:
         raise FeasibleArrayError(
-            f"y[1] = {_clip(repr(y[0]))} but must equal the length {n}", 1
+            f"y[1] = {_clip_value(y[0])} but must equal the length {n}", 1
         )
     # bound is n-i+1, the largest entry allowed at i; y[1] = n passes again
     bound = n
@@ -167,8 +180,8 @@ def validate_feasible(values: Sequence[int]) -> FeasibleArray:
         if not (isinstance(v, int) and 0 <= v <= bound):
             i = n + 1 - bound
             if not isinstance(v, int):
-                raise FeasibleArrayError(f"y[{i}] = {_clip(repr(v))} is not an integer", i)
-            raise FeasibleArrayError(f"y[{i}] = {_clip(format(v))} out of range 0..{bound}", i)
+                raise FeasibleArrayError(f"y[{i}] = {_clip_value(v)} is not an integer", i)
+            raise FeasibleArrayError(f"y[{i}] = {_clip_value(v, format)} out of range 0..{bound}", i)
         bound -= 1
     return y
 

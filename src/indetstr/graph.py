@@ -11,10 +11,11 @@ The array is the graph's one stored fact; every other fact is read off it
 once, on first use, and cached on the graph.  The regularity verdict is one
 of them: _regular_labels decides it in O(n) and is the one labeller of a
 regular array.  positive_components, and so is_regular, take its labels, and
-infer colours them without any edge list.  Only a non-regular array reaches
-the range union, _range_union.  No view reads another: neg_adj, which only
-the walk reads, is built from the array, not from neg_edges, the sorted view
-that only the negative export reads.  pos_edges, the sorted positive edge
+regular_string_from_components, infer's answer for a regular array, colours
+them without any edge list.  Only a non-regular array reaches the range
+union, _range_union.  No view reads another: neg_adj, which only the walk
+reads, is built from the array, not from neg_edges, the sorted view that
+only the negative export reads.  pos_edges, the sorted positive edge
 tuples, has one reader too, the walk: the export and edge_label_string take
 the positive edges from _positive_levels, which lists them level by level
 off the array, already in (u, v) order.
@@ -255,23 +256,43 @@ def is_regular(y: Sequence[int]) -> tuple[bool, tuple[int, ...]]:
 def regular_string_from_components(
     g: PrefixGraph, labels: Sequence[int]
 ) -> IndetString:
-    """Regular witness: one fresh symbol per positive component.
+    """Regular witness, with one-symbol letters; infer's answer for a
+    regular y.
 
-    Components are numbered by smallest member, so the output is
-    deterministic.  Raises ValueError naming the least negative edge that
-    stays inside a component, when there is one (no regular witness exists).
+    labels are positive_components', each component's smallest member.
+    Components are taken in that order, and each gets the smallest symbol
+    held by no earlier component joined to it by a negative edge.  Positive
+    edges stay inside a component and negative ones join components of
+    different symbols, so the result realizes y.  Only the at most n-1
+    negative edges are read, so the table of a^n costs O(n).  Raises
+    ValueError naming the least negative edge that stays inside a
+    component, when there is one (no regular witness exists).
     """
-    inside = [e for e in _negative_edges(g.y) if labels[e[0]] == labels[e[1]]]
+    earlier: list[list[int]] = [[] for _ in labels]  # by component label
+    inside: list[Edge] = []
+    for u, v in _negative_edges(g.y):
+        a, b = labels[u], labels[v]
+        if a < b:
+            earlier[b].append(a)
+        elif b < a:
+            earlier[a].append(b)
+        else:
+            inside.append((u, v))
     if inside:
         u, v = min(inside)
         raise ValueError(
             f"array is not regular: positions {u} and {v} must mismatch "
             "but lie in one forced-match component"
         )
-    rank: dict[int, int] = {}
-    for v in range(1, g.n + 1):
-        rank.setdefault(labels[v], len(rank) + 1)
-    return tuple((rank[labels[v]],) for v in range(1, g.n + 1))
+    colour = [0] * len(labels)
+    for c in range(1, len(labels)):
+        if labels[c] == c:
+            taken = 1
+            for a in earlier[c]:
+                taken |= 1 << colour[a]
+            colour[c] = ((taken + 1) & ~taken).bit_length() - 1
+    letters = [()] + [(s,) for s in range(1, max(colour, default=0) + 1)]
+    return tuple(letters[colour[c]] for c in labels[1:])
 
 
 def edge_label_string(g: PrefixGraph) -> IndetString:

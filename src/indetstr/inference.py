@@ -34,24 +34,21 @@ problem, so the walk stays greedy and polynomial rather than exact.
 
 infer chooses between two paths on the graph's regularity verdict,
 PrefixGraph.regular_labels, and _walk is only the walk.  A regular array
-skips it: the O(n) verdict yields its positive components, and each
-component takes the smallest symbol that no earlier component (by smallest
-member) joined to it by a negative edge holds.  No edge list is built: the
-quotient graph has at most n-1 edges, so the table of a^n, with n(n-1)/2
-positive edges, costs O(n).  The result always realizes the array, because
-positive edges stay inside a component and negative ones join components of
-different symbols.  That it is also the walk's string is not proven; it is
-checked on every feasible array up to length 8, every regular array up to
-length 11, hypothesis draws up to length 200 and the benchmark pools.
-infer_with_trace always walks, so its trace describes the walk.
+skips it: the O(n) verdict yields its positive components, and the one
+regular witness, graph.regular_string_from_components, colours them
+greedily in O(n), with one-symbol letters.  That this is also the walk's
+string is not proven; it is checked on every feasible array up to length 8,
+every regular array up to length 11, hypothesis draws up to length 200 and
+the benchmark pools.  infer_with_trace always walks, so its trace
+describes the walk.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import FeasibleArray, IndetString, _map_once, render_symbol
-from .graph import PrefixGraph, _negative_edges, build_prefix_graph
+from .core import IndetString, _map_once, render_symbol
+from .graph import PrefixGraph, build_prefix_graph, regular_string_from_components
 
 Trace = list[str]
 
@@ -68,32 +65,6 @@ def _symbols(mask: int) -> tuple[int, ...]:
 
 def _name(bit: int) -> str:
     return render_symbol(bit.bit_length() - 1)
-
-
-def _colour_components(y: FeasibleArray, labels: Sequence[int]) -> IndetString:
-    """Each position's component symbol as a one-symbol letter.
-
-    labels come from graph._regular_labels, so y is regular and no negative
-    edge lies inside a component.  Components are taken in order of
-    smallest member (the label), and each gets the smallest symbol held by
-    no earlier component joined to it by a negative edge.
-    """
-    earlier: list[list[int]] = [[] for _ in labels]  # by component label
-    for u, v in _negative_edges(y):
-        a, b = labels[u], labels[v]
-        if a < b:
-            earlier[b].append(a)
-        else:
-            earlier[a].append(b)
-    colour = [0] * len(labels)
-    for c in range(1, len(labels)):
-        if labels[c] == c:
-            taken = 1
-            for a in earlier[c]:
-                taken |= 1 << colour[a]
-            colour[c] = ((taken + 1) & ~taken).bit_length() - 1
-    letters = [()] + [(s,) for s in range(1, max(colour, default=0) + 1)]
-    return tuple(letters[colour[c]] for c in labels[1:])
 
 
 def _walk(g: PrefixGraph, trace: Trace | None) -> IndetString:
@@ -176,12 +147,11 @@ def infer(y: Sequence[int]) -> IndetString:
     Exact (lex-least on a minimum alphabet) for every y of length <= 4; see
     the module docstring for what holds beyond that.  The graph's
     regularity verdict chooses the path: a regular y is answered in O(n) by
-    colouring its components, with one-symbol letters, and any other y is
-    walked.
+    regular_string_from_components, and any other y is walked.
     """
     g = build_prefix_graph(y)
     if g.regular_labels is not None:
-        return _colour_components(g.y, g.regular_labels)
+        return regular_string_from_components(g, g.regular_labels)
     return _walk(g, None)
 
 

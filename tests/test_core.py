@@ -366,6 +366,38 @@ class TestValidateFeasible:
             letter((big, big))
         assert str(exc.value) == f"duplicate symbol {shown(str(big))} in letter"
 
+    @pytest.mark.parametrize("y, i, text", [
+        ((10**5000,), 1, f"y[1] = 1{'0' * 39}... (5001 characters) but must equal the length 1"),
+        ((2, 10**5000), 2, f"y[2] = 1{'0' * 39}... (5001 characters) out of range 0..1"),
+        ((3, 0, -10**5000), 3, f"y[3] = -1{'0' * 38}... (5002 characters) out of range 0..1"),
+        ((2, 10**5000 - 1), 2, f"y[2] = {'9' * 40}... (5000 characters) out of range 0..1"),
+    ], ids=["length", "range", "negative", "nines"])
+    def test_int_past_the_string_limit(self, int_digit_limit, y, i, text):
+        # str() refuses these ints, so they are clipped without rendering them
+        with pytest.raises(FeasibleArrayError) as exc:
+            validate_feasible(y)
+        assert (exc.value.index, str(exc.value)) == (i, text)
+        assert len(text) < 300
+
+    def test_letter_int_past_the_string_limit(self, int_digit_limit):
+        with pytest.raises(ValueError) as exc:
+            letter((10**5000, 10**5000))
+        assert str(exc.value) == (
+            f"duplicate symbol 1{'0' * 39}... (5001 characters) in letter"
+        )
+
+    def test_clipped_ints_match_their_text(self):
+        # the arithmetic clip of an int of over 40 digits shows what clipping
+        # its str() shows, at every digit count and across powers of ten
+        for k in (39, 40, 41, 42, 100, 1000, 4299):
+            for v in (10**k - 1, 10**k, 10**k + 1, -10**k, -(10**k - 1)):
+                text = str(v)
+                if len(text) > 40:
+                    text = f"{text[:40]}... ({len(text)} characters)"
+                with pytest.raises(FeasibleArrayError) as exc:
+                    validate_feasible((2, v))
+                assert str(exc.value) == f"y[2] = {text} out of range 0..1"
+
     def test_non_integer_entry_through_the_api(self):
         # each validates through build_prefix_graph before any arithmetic
         with pytest.raises(FeasibleArrayError):

@@ -484,26 +484,38 @@ class TestExportOracle:
         _check_against_reference(y)
 
 
+def _witness(y):
+    """The regular witness of y from its positive components."""
+    g = build_prefix_graph(y)
+    return regular_string_from_components(g, positive_components(g))
+
+
 class TestRegularWitness:
     def test_golden_strings(self):
-        def witness(y):
-            g = build_prefix_graph(y)
-            return regular_string_from_components(g, positive_components(g))
-
-        assert witness((8, 0, 1, 0, 3, 0, 1, 0)) == s("a b a c a b a d")
-        assert witness((4, 0, 0, 0)) == s("a b c d")
-        assert witness((4, 3, 2, 1)) == s("a a a a")
+        assert _witness((8, 0, 1, 0, 3, 0, 1, 0)) == s("a b a c a b a d")
+        assert _witness((4, 0, 0, 0)) == s("a b b b")
+        assert _witness((4, 3, 2, 1)) == s("a a a a")
 
     def test_symbols_numbered_by_component_order(self):
-        g = build_prefix_graph((6, 0, 2, 0, 0, 1))
-        x = regular_string_from_components(g, positive_components(g))
+        x = _witness((6, 0, 2, 0, 0, 1))
         assert compute_prefix_table(x) == (6, 0, 2, 0, 0, 1)
-        # first distinct component seen from the left gets the next symbol
+        # components are coloured in order of smallest member, so a symbol
+        # first appears only after every smaller one has
         seen = []
         for (sym,) in x:
             if sym not in seen:
                 seen.append(sym)
         assert seen == sorted(seen)
+
+    def test_equals_infer_on_regular_tables(self):
+        for n in range(12):
+            for y in regular_tables(n):
+                assert _witness(y) == infer(y), y
+
+    @settings(deadline=None)
+    @given(regular_strings(max_n=200).map(compute_prefix_table))
+    def test_equals_infer(self, y):
+        assert _witness(y) == infer(y)
 
 
 class TestEdgeLabelString:
