@@ -10,8 +10,11 @@ ranks render as decimal integers.  Letters are kept as strictly increasing
 tuples, so the letter order is Python's tuple order: a strict prefix comes
 first, otherwise the smaller symbol at the first difference decides, so
 {a,b,w,x,y,z} precedes {a,c}.  Strings, as tuples of letters, are ordered
-the same way.  Matching is a set intersection test, and the one prefix-table
-scan runs it over frozenset copies of the letters, one per distinct letter.
+the same way.  Matching is a set intersection test.  The prefix table is
+computed over frozenset copies of the letters, one per distinct letter: by
+the Z-algorithm in O(n) when those sets are pairwise disjoint, as in every
+regular string, since matching is then equality; otherwise by a quadratic
+scan.
 
 External indexing is 1-based everywhere (reports, diagnostics, exports);
 internally plain 0-based sequences are used.
@@ -97,16 +100,41 @@ def _map_once(fn: Callable, items: Sequence) -> Iterator:
 
 
 def _prefix_entries(x: Sequence[Letter]) -> Iterator[int]:
-    """The prefix table of x entry by entry, by a plain quadratic scan: the
-    one scan behind compute_prefix_table and verify_prefix_table."""
-    n = len(x)
+    """The prefix table of x entry by entry: the one source of
+    compute_prefix_table and verify_prefix_table.
+
+    Each distinct letter becomes one frozenset, shared by all its positions.
+    When these sets are nonempty and pairwise disjoint, as in every regular
+    string, two letters match exactly when they share the set, and
+    _z_entries answers in O(n).  Any other x, and x with unhashable letters,
+    goes to _scan_entries.  The dispatch reads each distinct letter once,
+    while its set is built.
+    """
+    union = set()
+    overlap = False
+
+    def share(a) -> frozenset:
+        nonlocal overlap
+        f = frozenset(a)
+        if not overlap:
+            overlap = not f or not union.isdisjoint(f)
+            union.update(f)
+        return f
+
+    try:
+        sets = list(_map_once(share, x))
+    except TypeError:  # unhashable letters, such as lists
+        return _scan_entries([frozenset(a) for a in x])
+    return _scan_entries(sets) if overlap else _z_entries(sets)
+
+
+def _scan_entries(sets: Sequence[frozenset]) -> Iterator[int]:
+    """The prefix table of the letters sets by a plain quadratic scan:
+    sum(table[2..n]) + n - 1 intersection tests."""
+    n = len(sets)
     if n == 0:
         return
     yield n
-    try:
-        sets = list(_map_once(frozenset, x))
-    except TypeError:  # unhashable letters, such as lists
-        sets = [frozenset(a) for a in x]
     for i in range(1, n):
         j = 0
         while i + j < n and not sets[j].isdisjoint(sets[i + j]):
@@ -114,9 +142,34 @@ def _prefix_entries(x: Sequence[Letter]) -> Iterator[int]:
         yield j
 
 
+def _z_entries(sets: Sequence[frozenset]) -> Iterator[int]:
+    """The prefix table of the letters sets, where two letters match exactly
+    when they are the same object, by the Z-algorithm (Gusfield, Algorithms
+    on Strings, Trees, and Sequences, 1997, section 1.4): at most 2n
+    comparisons."""
+    n = len(sets)
+    if n == 0:
+        return
+    yield n
+    table = [n]
+    lo = hi = 0  # sets[lo:hi] matches sets[:hi-lo]
+    for i in range(1, n):
+        k = min(hi - i, table[i - lo]) if i < hi else 0
+        while i + k < n and sets[k] is sets[i + k]:
+            k += 1
+        if i + k > hi:
+            lo, hi = i, i + k
+        table.append(k)
+        yield k
+
+
 def compute_prefix_table(x: Sequence[Letter]) -> FeasibleArray:
     """Prefix table of x: entry i is the length of the longest prefix of
     x[i..n] that matches a prefix of x.  Entry 1 is always n.
+
+    It takes O(n) time when the distinct letters of x are pairwise disjoint
+    sets, as in every regular string, and otherwise a scan of
+    sum(table[2..n]) + n - 1 intersection tests.
 
     verify_prefix_table reports a claim longer than this entry as condition
     (a) and a shorter one as condition (b).
@@ -210,7 +263,12 @@ _ARRAY_TOKEN_RE = re.compile(r"0|[1-9][0-9]*")
 def render_symbol(rank: Symbol) -> str:
     if 1 <= rank <= 26:
         return chr(ord("a") + rank - 1)
-    return str(rank)
+    try:
+        return str(rank)
+    except ValueError:  # more digits than the int-string limit
+        raise ValueError(
+            f"symbol rank {_clip_value(rank)} is longer than the int-string limit"
+        ) from None
 
 
 def _parse_symbol(text: str) -> Symbol:

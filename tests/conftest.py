@@ -34,6 +34,22 @@ def regular_strings(draw, min_n: int = 0, max_n: int = 10, max_sigma: int = 4):
     return tuple((draw(st.integers(1, max_sigma)),) for _ in range(n))
 
 
+@st.composite
+def disjoint_letter_strings(draw, min_n: int = 0, max_n: int = 12, max_sigma: int = 6):
+    """Strings whose distinct letters are pairwise disjoint, such as
+    {a,b} c {a,b}: blocks of a random partition of 1..max_sigma.  Letters
+    then match exactly when they are equal, though not every letter is a
+    single symbol."""
+    symbols = draw(st.permutations(range(1, max_sigma + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, max_sigma - 1))))
+    blocks = [
+        tuple(sorted(symbols[lo:hi]))
+        for lo, hi in zip([0, *cuts], [*cuts, max_sigma])
+    ]
+    n = draw(st.integers(min_n, max_n))
+    return tuple(draw(st.sampled_from(blocks)) for _ in range(n))
+
+
 def word_table(word) -> tuple[int, ...]:
     """Prefix table of a plain word (a sequence of symbols compared with ==)
     by the Z-algorithm, in linear time, for inputs too long for the

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import feasible_arrays, indet_strings, regular_strings, s, word_table
+from conftest import (
+    disjoint_letter_strings,
+    feasible_arrays,
+    indet_strings,
+    regular_strings,
+    s,
+    word_table,
+)
 from indetstr import (
     FeasibleArrayError,
     ParseError,
@@ -27,7 +34,8 @@ from indetstr import (
     validate_feasible,
     verify_prefix_table,
 )
-from indetstr.core import _ARRAY_TOKEN_RE, _parse_symbol, format_letter
+from indetstr import core
+from indetstr.core import _ARRAY_TOKEN_RE, _parse_symbol, _scan_entries, format_letter
 
 # Published example pairs used as golden values throughout.
 GOLDEN_TABLES = [
@@ -67,6 +75,20 @@ def two_condition_verify(x, y):
         if i + v <= n and merge_scan_match(x[v], x[i + v - 1]):
             return TableCheck(False, i, "b")
     return TableCheck(True)
+
+
+def scan_table(x):
+    """Reference prefix table: the quadratic scan alone, whatever the
+    letters, as the oracle of the Z-algorithm path."""
+    return tuple(_scan_entries([frozenset(a) for a in x]))
+
+
+def changed_claims(table):
+    """The table itself, then each entry in turn one above and one below."""
+    yield table
+    for i, v in enumerate(table):
+        for w in (v - 1, v + 1):
+            yield table[:i] + (w,) + table[i + 1 :]
 
 
 # Reference copies of the text functions as they were before each kept a
@@ -234,6 +256,34 @@ class TestComputePrefixTable:
         assert compute_prefix_table(x) == table
         assert calls == [(1,), (2,), (1, 2), (3,)]
 
+    @given(indet_strings(max_n=12))
+    def test_agrees_with_scan(self, x):
+        assert compute_prefix_table(x) == scan_table(x)
+
+    @given(disjoint_letter_strings())
+    def test_agrees_with_scan_on_disjoint_letters(self, x):
+        assert compute_prefix_table(x) == scan_table(x)
+
+    @pytest.mark.parametrize("x, path, table", [
+        (s("a b a a b"), "_z_entries", (5, 0, 1, 2, 0)),
+        (s("{a,b} c {a,b} {a,b}"), "_z_entries", (4, 0, 1, 1)),
+        ((), "_z_entries", ()),
+        (s("a {a,b} b"), "_scan_entries", (3, 2, 0)),
+        (s("{a,b} {b,c}"), "_scan_entries", (2, 1)),
+        # an empty letter matches nothing, not even itself
+        (((), ()), "_scan_entries", (2, 0)),
+        ([[1], [1]], "_scan_entries", (2, 1)),
+    ], ids=["regular", "disjoint", "empty-string", "overlap", "chain", "empty-letter", "lists"])
+    def test_path_taken(self, monkeypatch, x, path, table):
+        taken = []
+        for name in ("_scan_entries", "_z_entries"):
+            entries = getattr(core, name)
+            monkeypatch.setattr(
+                core, name, lambda sets, name=name, entries=entries: taken.append(name) or entries(sets)
+            )
+        assert compute_prefix_table(x) == table
+        assert taken == [path]
+
     def test_list_letters(self):
         # lists are unhashable, so the scan cannot share their sets
         x = [[1, 3], [2], [1], [1, 2], [3], [1, 2]]
@@ -291,6 +341,37 @@ class TestVerifyPrefixTable:
                 for y in claims:
                     assert verify_prefix_table(x, y) == two_condition_verify(x, y), (x, y)
 
+    def test_agrees_with_oracles_exhaustive_n6(self):
+        # every string over at most 3 symbols with n <= 6, 137,257 of them:
+        # the table against the scan.  The 1,459 whose distinct letters are
+        # disjoint take the Z-algorithm path; their verdicts are checked on
+        # the table and on each entry one off.  The scan path's verdicts are
+        # checked up to n = 5 on one entry one off, the position and the
+        # sign rotating, which keeps the test near 2 s
+        k = 0
+        for n in range(7):
+            for x in itertools.product(subset_letters(3), repeat=n):
+                table = scan_table(x)
+                assert compute_prefix_table(x) == table, x
+                if len(set().union(*x)) == sum(map(len, set(x))):
+                    claims = changed_claims(table)
+                elif n <= 5:
+                    k += 1
+                    i = k % n
+                    claims = [table[:i] + (table[i] + (-1) ** k,) + table[i + 1 :]]
+                else:
+                    claims = ()
+                for y in claims:
+                    assert verify_prefix_table(x, y) == two_condition_verify(x, y), (x, y)
+
+    @given(disjoint_letter_strings(min_n=1), st.data())
+    def test_agrees_with_two_condition_oracle_on_disjoint_letters(self, x, data):
+        y = list(scan_table(x))
+        changes = st.tuples(st.integers(0, len(x) - 1), st.integers(-1, len(x) + 1))
+        for i, v in data.draw(st.lists(changes, max_size=4)):
+            y[i] = v
+        assert verify_prefix_table(x, y) == two_condition_verify(x, y)
+
     @given(indet_strings(min_n=1, max_n=12), st.data())
     def test_agrees_with_two_condition_oracle_multi_entry(self, x, data):
         n = len(x)
@@ -301,11 +382,21 @@ class TestVerifyPrefixTable:
         assert verify_prefix_table(x, y) == two_condition_verify(x, y)
 
     def test_stops_at_first_failure(self):
-        # the whole table of a^20000 would take about 2*10^8 letter matches;
-        # the claim already fails at position 2
+        # a^20000 takes the Z-algorithm path, about 2*10^4 comparisons for
+        # the whole table; the claim already fails at position 2
         n = 20000
         check = verify_prefix_table(((1,),) * n, (n,) + (0,) * (n - 1))
         assert (check.ok, check.position, check.condition) == (False, 2, "b")
+
+
+class TestLongRegularTables:
+    # tables whose quadratic scan would take 2*10^8 (a^20000) and 4*10^7
+    # ((aaaab)^4000) intersection tests; the Z-algorithm path takes O(n)
+    @pytest.mark.parametrize("word", ["a" * 20000, "aaaab" * 4000], ids=["a", "aaaab"])
+    def test_round_trip(self, word):
+        y = word_table(word)
+        assert compute_prefix_table(tuple((ord(c) - 96,) for c in word)) == y
+        assert verify_prefix_table(infer(y), y).ok
 
 
 class TestValidateFeasible:
@@ -417,6 +508,14 @@ class TestGrammar:
     def test_high_ranks_render_decimal(self):
         assert format_string(((1, 27),)) == "{a,27}"
         assert format_string(((26,), (27,))) == "z 27"
+
+    def test_rank_past_the_string_limit(self, int_digit_limit):
+        # letter accepts the rank, which str() refuses to render
+        with pytest.raises(ValueError) as exc:
+            format_string(((1,), (10**5000,)))
+        text = f"symbol rank 1{'0' * 39}... (5001 characters) is longer than the int-string limit"
+        assert str(exc.value) == text
+        assert len(text) < 300
 
     def test_braced_singleton_parses_canonical_format(self):
         assert format_string(parse_string("{a}")) == "a"
