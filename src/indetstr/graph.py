@@ -12,13 +12,14 @@ once, on first use, and cached on the graph.  The regularity verdict is one
 of them: _regular_labels decides it in O(n) and is the one labeller of a
 regular array.  positive_components, and so is_regular, take its labels, and
 regular_string_from_components, infer's answer for a regular array, colours
-them without any edge list.  Only a non-regular array reaches the range
-union, _range_union.  No view reads another: neg_adj, which only the walk
-reads, is built from the array, not from neg_edges, the sorted view that
-only the negative export reads.  pos_edges, the sorted positive edge
-tuples, has one reader too, the walk: the export and edge_label_string take
-the positive edges from _positive_levels, which lists them level by level
-off the array, already in (u, v) order.
+them without any edge list; it takes regularity from the verdict as well,
+and refuses labels other than positive_components'.  Only a non-regular
+array reaches the range union, _range_union.  No view reads another:
+neg_adj, which only the walk reads, is built from the array, not from
+neg_edges, the sorted view that only the negative export reads.  pos_edges,
+the sorted positive edge tuples, has one reader too, the walk: the export
+and edge_label_string take the positive edges from _positive_levels, which
+lists them level by level off the array, already in (u, v) order.
 
 build_prefix_graph is the one feasibility check on the graph's paths: infer,
 is_regular and the graph command build the graph from the array here, so
@@ -259,31 +260,32 @@ def regular_string_from_components(
     """Regular witness, with one-symbol letters; infer's answer for a
     regular y.
 
-    labels are positive_components', each component's smallest member.
+    Regularity is the graph's verdict, g.regular_labels; nothing here
+    decides it again.  labels must equal positive_components(g), each
+    component's smallest member; any other labelling raises ValueError.
     Components are taken in that order, and each gets the smallest symbol
     held by no earlier component joined to it by a negative edge.  Positive
     edges stay inside a component and negative ones join components of
     different symbols, so the result realizes y.  Only the at most n-1
-    negative edges are read, so the table of a^n costs O(n).  Raises
-    ValueError naming the least negative edge that stays inside a
-    component, when there is one (no regular witness exists).
+    negative edges are read, so the table of a^n costs O(n).  When y is not
+    regular, raises ValueError naming the least negative edge that stays
+    inside a component (no regular witness exists).
     """
-    earlier: list[list[int]] = [[] for _ in labels]  # by component label
-    inside: list[Edge] = []
-    for u, v in _negative_edges(g.y):
-        a, b = labels[u], labels[v]
-        if a < b:
-            earlier[b].append(a)
-        elif b < a:
-            earlier[a].append(b)
-        else:
-            inside.append((u, v))
-    if inside:
-        u, v = min(inside)
+    if tuple(labels) != positive_components(g):
+        raise ValueError("labels are not the positive components of the graph")
+    if g.regular_labels is None:
+        u, v = min((u, v) for u, v in _negative_edges(g.y) if labels[u] == labels[v])
         raise ValueError(
             f"array is not regular: positions {u} and {v} must mismatch "
             "but lie in one forced-match component"
         )
+    earlier: list[list[int]] = [[] for _ in labels]  # by component label
+    for u, v in _negative_edges(g.y):
+        a, b = labels[u], labels[v]
+        if a < b:
+            earlier[b].append(a)
+        else:
+            earlier[a].append(b)
     colour = [0] * len(labels)
     for c in range(1, len(labels)):
         if labels[c] == c:
@@ -311,15 +313,11 @@ def edge_label_string(g: PrefixGraph) -> IndetString:
             r += 1
             incident[u].append(r)
             incident[v].append(r)
-    letters: list[tuple[int, ...]] = []
-    next_rank = r + 1
-    for v in range(1, g.n + 1):
-        if incident[v]:
-            letters.append(tuple(incident[v]))
-        else:
-            letters.append((next_rank,))
-            next_rank += 1
-    return tuple(letters)
+    for row in incident[1:]:
+        if not row:
+            r += 1
+            row.append(r)
+    return tuple(map(tuple, incident[1:]))
 
 
 def isolated_positive_vertices(y: Sequence[int]) -> tuple[int, ...]:

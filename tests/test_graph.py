@@ -484,6 +484,9 @@ class TestExportOracle:
         _check_against_reference(y)
 
 
+FOREIGN_LABELS = "labels are not the positive components of the graph"
+
+
 def _witness(y):
     """The regular witness of y from its positive components."""
     g = build_prefix_graph(y)
@@ -516,6 +519,37 @@ class TestRegularWitness:
     @given(regular_strings(max_n=200).map(compute_prefix_table))
     def test_equals_infer(self, y):
         assert _witness(y) == infer(y)
+
+    @pytest.mark.parametrize("y, labels", [
+        # a non-regular array labelled as if every position stood alone
+        ((5, 0, 2, 1, 0), (0, 1, 2, 3, 4, 5)),
+        # the singleton components of a b b, labels permuted
+        ((3, 0, 0), (0, 3, 2, 1)),
+        # one label short
+        ((3, 0, 0), (0, 1, 2)),
+    ])
+    def test_refuses_foreign_labels(self, y, labels):
+        with pytest.raises(ValueError) as exc:
+            regular_string_from_components(build_prefix_graph(y), labels)
+        assert str(exc.value) == FOREIGN_LABELS
+
+    def test_refuses_relabelled_component_exhaustive(self):
+        # one component renamed by a larger vertex, every other label right
+        for n in range(2, 9):
+            for y in regular_tables(n):
+                g = build_prefix_graph(y)
+                labels = positive_components(g)
+                for c in set(labels[1:]):
+                    for w in range(c + 1, n + 1):
+                        moved = tuple(w if l == c else l for l in labels)
+                        with pytest.raises(ValueError, match=FOREIGN_LABELS):
+                            regular_string_from_components(g, moved)
+
+    def test_accepts_components_as_list(self):
+        for y in ((8, 0, 1, 0, 3, 0, 1, 0), (4, 0, 0, 0), (1,), ()):
+            g = build_prefix_graph(y)
+            x = regular_string_from_components(g, list(positive_components(g)))
+            assert x == _witness(y)
 
 
 class TestEdgeLabelString:
