@@ -16,10 +16,12 @@ them without any edge list; it takes regularity from the verdict as well,
 and refuses labels other than positive_components'.  Only a non-regular
 array reaches the range union, _range_union.  No view reads another:
 neg_adj, which only the walk reads, is built from the array, not from
-neg_edges, the sorted view that only the negative export reads.  pos_edges,
-the sorted positive edge tuples, has one reader too, the walk: the export
-and edge_label_string take the positive edges from _positive_levels, which
-lists them level by level off the array, already in (u, v) order.
+neg_edges, the sorted negative edge tuples, which nothing in the library
+reads.  pos_edges, the sorted positive edge tuples, has one reader, the
+walk.  The export takes both signs off the array level by level, grouped
+by the smaller end and already in (u, v) order: _positive_levels and
+_negative_levels, rendered by _level_lines through one table of vertex
+names.  edge_label_string takes the positive levels too.
 
 build_prefix_graph is the one feasibility check on the graph's paths: infer,
 is_regular and the graph command build the graph from the array here, so
@@ -30,11 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import FeasibleArray, IndetString, validate_feasible
 
 Edge = tuple[int, int]
+Level = tuple[int, list[int]]  # (u, vs): the edges (u, v), v in vs, ascending
 
 
 def _negative_edges(y: FeasibleArray) -> Iterator[Edge]:
@@ -43,7 +46,7 @@ def _negative_edges(y: FeasibleArray) -> Iterator[Edge]:
     return ((1 + v, i + v) for i, v in enumerate(y, 1) if i + v <= n)
 
 
-def _positive_levels(y: FeasibleArray) -> Iterator[tuple[int, list[int]]]:
+def _positive_levels(y: FeasibleArray) -> Iterator[Level]:
     """The positive edges (h, v) level by level: (h, vs) for h = 1, 2, ...,
     vs the ascending i+h-1 over the i >= 2 with y[i] >= h.
 
@@ -60,12 +63,31 @@ def _positive_levels(y: FeasibleArray) -> Iterator[tuple[int, list[int]]]:
         h += 1
 
 
-def _level_lines(y: FeasibleArray, head: str, tail: str, sep: str) -> Iterator[str]:
-    """One text per positive level: each edge (h, v) of the level rendered as
-    head.format(h) + str(v) + tail, joined by sep."""
-    for h, vs in _positive_levels(y):
-        hs = head.format(h)
-        yield hs + (tail + sep + hs).join(map(str, vs)) + tail
+def _negative_levels(y: FeasibleArray) -> list[Level]:
+    """The negative edges (u, v) grouped by u: (u, vs) for u ascending, vs
+    the ascending i+y[i] over the i with i+y[i] <= n and 1+y[i] = u.
+
+    One pass over y files each v under its u; for a fixed u, v = i+u-1
+    grows with i, so each vs ascends and only the at most n distinct u are
+    sorted, never the edges.
+    """
+    n = len(y)
+    by_u: dict[int, list[int]] = {}
+    for i, v in enumerate(y, 1):
+        if i + v <= n:
+            by_u.setdefault(v + 1, []).append(i + v)
+    return sorted(by_u.items())
+
+
+def _level_lines(
+    levels: Iterable[Level], names: list[str], head: str, tail: str, sep: str
+) -> Iterator[str]:
+    """One text per level (h, vs) of either sign: each edge (h, v) rendered
+    as head.format(names[h]) + names[v] + tail, joined by sep.  names[v] is
+    str(v), built once per export, so no vertex id is rendered per edge."""
+    for h, vs in levels:
+        hs = head.format(names[h])
+        yield hs + (tail + sep + hs).join(map(names.__getitem__, vs)) + tail
 
 
 @dataclass(frozen=True)
@@ -75,7 +97,9 @@ class PrefixGraph:
     Four views are read off y on first use and then cached, so only readers
     pay: neg_edges and pos_edges ascend by (u, v) with u < v, neg_adj holds
     each vertex's negative neighbours, and regular_labels is the regularity
-    verdict (_regular_labels).  Only the walk reads pos_edges.
+    verdict (_regular_labels).  Only the walk reads pos_edges; the export
+    reads neither edge view, and neg_edges serves callers that want the
+    negative edges as tuples.
     """
 
     y: FeasibleArray
@@ -345,29 +369,28 @@ def export_graph(g: PrefixGraph, fmt: str = "dot", sign: str = "both") -> str:
     DOT declares every vertex (isolated ones stay visible) and draws negative
     edges dashed.  JSON is {"n": ..., "pos": [[u,v],...], "neg": [[u,v],...]}
     with only the requested sign lists present.  Both list the edges of each
-    sign in (u, v) order; the positive ones are written level by level from
-    the array (_level_lines), never as edge tuples.
+    sign in (u, v) order, written level by level from the array
+    (_positive_levels, _negative_levels) through _level_lines, never as edge
+    tuples: every vertex id is rendered once, into one name table.
     """
     if sign not in ("positive", "negative", "both"):
         raise ValueError(f"unknown sign {sign!r}")
-    want_pos = sign in ("positive", "both")
-    want_neg = sign in ("negative", "both")
+    if fmt not in ("json", "dot"):
+        raise ValueError(f"unknown format {fmt!r}")
+    pos = _positive_levels(g.y) if sign in ("positive", "both") else None
+    neg = _negative_levels(g.y) if sign in ("negative", "both") else None
+    names = list(map(str, range(g.n + 1)))
     if fmt == "json":
         text = f'{{"n":{g.n}'
-        if want_pos:
-            text += ',"pos":[' + ",".join(_level_lines(g.y, "[{},", "]", ",")) + "]"
-        if want_neg:
-            text += ',"neg":[' + ",".join(f"[{u},{v}]" for u, v in g.neg_edges) + "]"
+        for key, levels in (("pos", pos), ("neg", neg)):
+            if levels is not None:
+                edges = _level_lines(levels, names, "[{},", "]", ",")
+                text += f',"{key}":[' + ",".join(edges) + "]"
         return text + "}"
-    if fmt == "dot":
-        lines = ["graph prefix_graph {"]
-        for v in range(1, g.n + 1):
-            lines.append(f"  {v};")
-        if want_pos:
-            lines.extend(_level_lines(g.y, "  {} -- ", ";", "\n"))
-        if want_neg:
-            for u, v in g.neg_edges:
-                lines.append(f"  {u} -- {v} [style=dashed];")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    lines = ["graph prefix_graph {"]
+    lines.extend(f"  {v};" for v in names[1:])
+    for levels, tail in ((pos, ";"), (neg, " [style=dashed];")):
+        if levels is not None:
+            lines.extend(_level_lines(levels, names, "  {} -- ", tail, "\n"))
+    lines.append("}")
+    return "\n".join(lines) + "\n"

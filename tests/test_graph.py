@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import feasible_arrays, regular_strings, regular_tables, s
+from conftest import feasible_arrays, regular_strings, regular_tables, s, word_table
 from indetstr import (
     FeasibleArrayError,
     PrefixGraph,
@@ -27,7 +28,14 @@ from indetstr import (
     verify_prefix_table,
 )
 from indetstr import graph as graph_module
-from indetstr.graph import _positive_levels, _range_union, _regular_labels
+from indetstr.bench import gen_random_feasible
+from indetstr.graph import (
+    _negative_edges,
+    _negative_levels,
+    _positive_levels,
+    _range_union,
+    _regular_labels,
+)
 
 
 class TestBuildPrefixGraph:
@@ -299,10 +307,10 @@ def _unreadable(sign):
 
 class TestEdgeFreePaths:
     """Regularity reads no edge list, and is_regular scans no negative edge;
-    the walk's adjacency reads the array, not neg_edges; the export and
-    edge_label_string read the positive edges off the array level by level
-    (_positive_levels), never pos_edges, and only the export of negative
-    edges reads neg_edges."""
+    the walk's adjacency reads the array, not neg_edges; the export reads
+    both signs off the array level by level (_positive_levels,
+    _negative_levels) and edge_label_string the positive levels, and
+    neither reads pos_edges or neg_edges."""
 
     @pytest.fixture
     def no_pos_edges(self, monkeypatch):
@@ -349,7 +357,7 @@ class TestEdgeFreePaths:
         assert g.neg_adj == ((), (2, 5), (1, 5), (5,), (), (1, 2, 3))
         assert infer((5, 0, 2, 1, 0)) == s("a b a {a,b} c")
 
-    @pytest.mark.usefixtures("no_pos_edges")
+    @pytest.mark.usefixtures("no_pos_edges", "no_neg_edges")
     def test_negative_export(self):
         g = build_prefix_graph((5, 0, 2, 1, 0))
         assert export_graph(g, fmt="json", sign="negative") == (
@@ -374,7 +382,7 @@ class TestEdgeFreePaths:
             "  5;\n  1 -- 3;\n  1 -- 4;\n  2 -- 4;\n}\n"
         )
 
-    @pytest.mark.usefixtures("no_pos_edges")
+    @pytest.mark.usefixtures("no_pos_edges", "no_neg_edges")
     def test_export_of_both_signs(self):
         g = build_prefix_graph((5, 0, 2, 1, 0))
         assert export_graph(g, fmt="json") == (
@@ -399,6 +407,14 @@ class TestEdgeFreePaths:
         assert list(_positive_levels((5, 0, 2, 1, 0))) == [(1, [3, 4]), (2, [4])]
         assert list(_positive_levels((4, 0, 0, 0))) == []
         assert list(_positive_levels(())) == []
+
+    def test_negative_levels(self):
+        # the edges (1+y[i], i+y[i]), i+y[i] <= n, grouped by u = 1+y[i]
+        assert list(_negative_levels((5, 0, 2, 1, 0))) == [
+            (1, [2, 5]), (2, [5]), (3, [5])
+        ]
+        assert list(_negative_levels((4, 0, 0, 0))) == [(1, [2, 3, 4])]
+        assert list(_negative_levels(())) == []
 
     @pytest.mark.usefixtures("no_pos_edges", "no_neg_edges")
     def test_cli_regular(self, capsys):
@@ -481,6 +497,25 @@ class TestExportOracle:
         regular_strings(max_n=200).map(compute_prefix_table),
     ))
     def test_matches_reference(self, y):
+        _check_against_reference(y)
+
+    def test_matches_reference_at_workload_shapes(self):
+        rng = random.Random(20250)
+        # a random string over 4 symbols: most negative edges leave u = 1
+        # (y[i] = 0), a few thousand of them
+        y = word_table([rng.randrange(4) for _ in range(3000)])
+        assert [u for u, v in _negative_edges(y)].count(1) > 2000
+        _check_against_reference(y)
+        # entry i uniform on 0..n-i+1: the negative edges spread over
+        # hundreds of u, one or two each
+        _check_against_reference(gen_random_feasible(1000, rng))
+        # a period-5 word over 3 symbols, one point mutation per 150
+        # positions: regular, with long staircases of positive edges
+        word = [rng.randrange(3) for _ in range(5)] * 600
+        for lo in range(0, 3000, 150):
+            word[rng.randrange(lo, lo + 150)] = 3
+        y = word_table(word)
+        assert is_regular(y)[0]
         _check_against_reference(y)
 
 
