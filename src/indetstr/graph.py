@@ -14,14 +14,15 @@ regular array.  positive_components, and so is_regular, take its labels, and
 regular_string_from_components, infer's answer for a regular array, colours
 them without any edge list; it takes regularity from the verdict as well,
 and refuses labels other than positive_components'.  Only a non-regular
-array reaches the range union, _range_union.  No view reads another:
-neg_adj, which only the walk reads, is built from the array, not from
-neg_edges, the sorted negative edge tuples, which nothing in the library
-reads.  pos_edges, the sorted positive edge tuples, has one reader, the
-walk.  The export takes both signs off the array level by level, grouped
-by the smaller end and already in (u, v) order: _positive_levels and
-_negative_levels, rendered by _level_lines through one table of vertex
-names.  edge_label_string takes the positive levels too.
+array reaches the range union, _range_union.  No view reads another.
+The edges of each sign are read off the array level by level, grouped by
+the smaller end and already in (u, v) order: _positive_levels and
+_negative_levels.  The export renders both through _level_lines and one
+table of vertex names; edge_label_string takes the positive levels, and
+neg_adj, the walk's negative rows, the negative levels, with no sort.
+neg_edges, the sorted negative edge tuples, comes from _negative_edges
+alone, and nothing in the library reads it.  pos_edges, the sorted
+positive edge tuples, has one reader, the walk.
 
 build_prefix_graph is the one feasibility check on the graph's paths: infer,
 is_regular and the graph command build the graph from the array here, so
@@ -69,7 +70,8 @@ def _negative_levels(y: FeasibleArray) -> list[Level]:
 
     One pass over y files each v under its u; for a fixed u, v = i+u-1
     grows with i, so each vs ascends and only the at most n distinct u are
-    sorted, never the edges.
+    sorted, never the edges.  The export and neg_adj both read G- in this
+    order.
     """
     n = len(y)
     by_u: dict[int, list[int]] = {}
@@ -96,10 +98,11 @@ class PrefixGraph:
 
     Four views are read off y on first use and then cached, so only readers
     pay: neg_edges and pos_edges ascend by (u, v) with u < v, neg_adj holds
-    each vertex's negative neighbours, and regular_labels is the regularity
-    verdict (_regular_labels).  Only the walk reads pos_edges; the export
-    reads neither edge view, and neg_edges serves callers that want the
-    negative edges as tuples.
+    each vertex's negative neighbours in ascending order, read off the
+    negative levels with no sort, and regular_labels is the regularity
+    verdict (_regular_labels).  Only the walk reads pos_edges and neg_adj;
+    the export reads neither edge view, and neg_edges serves callers that
+    want the negative edges as tuples.
     """
 
     y: FeasibleArray
@@ -114,14 +117,22 @@ class PrefixGraph:
 
     @cached_property
     def neg_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Negative neighbours of each vertex, ascending; index 0 unused."""
+        """Negative neighbours of each vertex, ascending; index 0 unused.
+
+        Read off _negative_levels, with no sort.  Levels ascend by u, so
+        when level u is read, every smaller neighbour of u has already been
+        appended to row u by an earlier level, in ascending order; the
+        level's own vs, ascending too, are u's larger neighbours, and no
+        later level touches row u.  A row with no smaller neighbour, such
+        as vertex 1's, is its level list itself, not a copy.
+        """
         adj: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for u, v in _negative_edges(self.y):
-            adj[u].append(v)
-            adj[v].append(u)
-        for row in adj:
-            row.sort()
-        return tuple(tuple(l) for l in adj)
+        for u, vs in _negative_levels(self.y):
+            for v in vs:
+                adj[v].append(u)
+            # u's smaller neighbours, all filed at earlier levels, then its level
+            adj[u] = adj[u] + vs if adj[u] else vs
+        return tuple(map(tuple, adj))
 
     @cached_property
     def pos_edges(self) -> tuple[Edge, ...]:

@@ -30,7 +30,11 @@ symbol to it.  Dropping a symbol occasionally still can (position 4 of
 lex-least string on a minimum alphabet for every array up to length 4, but
 not in general: for 5 2 3 1 1 the walk uses four symbols where
 {a,b} {a,c} {b,c} a b uses three.  A minimum alphabet is a clique cover
-problem, so the walk stays greedy and polynomial rather than exact.
+problem, so the walk stays greedy and polynomial rather than exact.  On
+every regular array up to length 11 sigma is still minimum among all
+indeterminate strings: positions of a clique of negative edges need
+pairwise disjoint letters, so the largest such clique bounds sigma from
+below, and sigma meets that bound on each of them.
 
 infer chooses between two paths on the graph's regularity verdict,
 PrefixGraph.regular_labels, and _walk is only the walk.  A regular array

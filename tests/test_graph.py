@@ -38,6 +38,16 @@ from indetstr.graph import (
 )
 
 
+def _check_neg_adj(g):
+    """g.neg_adj against rows built in one pass over g.neg_edges, each
+    edge filed under both ends, and then sorted."""
+    rows: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for u, v in g.neg_edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    assert g.neg_adj == tuple(tuple(sorted(row)) for row in rows), g.y
+
+
 class TestBuildPrefixGraph:
     def test_golden_small(self):
         g = build_prefix_graph((5, 0, 2, 1, 0))
@@ -106,17 +116,17 @@ class TestBuildPrefixGraph:
             assert exc.value.index == 2
 
     def test_neg_adjacency_sorted_exhaustive(self):
-        # each row is built from the array's negative edges and sorted in
-        # place; it must be the row that the sorted edge list gives
+        # the rows are read off the negative levels and never sorted; each
+        # must be the sorted row that the edge list gives
         for n in range(8):
             for y in enumerate_feasible(n):
-                g = build_prefix_graph(y)
-                for v in range(1, n + 1):
-                    row = g.neg_adj[v]
-                    assert all(a < b for a, b in zip(row, row[1:]))
-                    assert row == tuple(sorted(
-                        u if w == v else w for u, w in g.neg_edges if v in (u, w)
-                    ))
+                _check_neg_adj(build_prefix_graph(y))
+
+    def test_neg_adjacency_at_workload_shapes(self):
+        # vertex 1 of the first array has over 2,000 neighbours, and each
+        # array has rows that mix smaller and larger neighbours
+        for y in _workload_shape_arrays():
+            _check_neg_adj(build_prefix_graph(y))
 
     @given(feasible_arrays(min_n=1))
     def test_edge_properties(self, y):
@@ -482,6 +492,26 @@ def _check_against_reference(y):
     assert edge_label_string(g) == reference_edge_label_string(g), y
 
 
+def _workload_shape_arrays():
+    """One seeded array at the shape of each benchmark workload."""
+    rng = random.Random(20250)
+    # a random string over 4 symbols: most negative edges leave u = 1
+    # (y[i] = 0), a few thousand of them
+    y = word_table([rng.randrange(4) for _ in range(3000)])
+    assert [u for u, v in _negative_edges(y)].count(1) > 2000
+    # entry i uniform on 0..n-i+1: the negative edges spread over
+    # hundreds of u, one or two each
+    arrays = [y, gen_random_feasible(1000, rng)]
+    # a period-5 word over 3 symbols, one point mutation per 150
+    # positions: regular, with long staircases of positive edges
+    word = [rng.randrange(3) for _ in range(5)] * 600
+    for lo in range(0, 3000, 150):
+        word[rng.randrange(lo, lo + 150)] = 3
+    y = word_table(word)
+    assert is_regular(y)[0]
+    return [*arrays, y]
+
+
 class TestExportOracle:
     """The level-by-level export and edge_label_string give the references'
     output byte for byte."""
@@ -500,23 +530,8 @@ class TestExportOracle:
         _check_against_reference(y)
 
     def test_matches_reference_at_workload_shapes(self):
-        rng = random.Random(20250)
-        # a random string over 4 symbols: most negative edges leave u = 1
-        # (y[i] = 0), a few thousand of them
-        y = word_table([rng.randrange(4) for _ in range(3000)])
-        assert [u for u, v in _negative_edges(y)].count(1) > 2000
-        _check_against_reference(y)
-        # entry i uniform on 0..n-i+1: the negative edges spread over
-        # hundreds of u, one or two each
-        _check_against_reference(gen_random_feasible(1000, rng))
-        # a period-5 word over 3 symbols, one point mutation per 150
-        # positions: regular, with long staircases of positive edges
-        word = [rng.randrange(3) for _ in range(5)] * 600
-        for lo in range(0, 3000, 150):
-            word[rng.randrange(lo, lo + 150)] = 3
-        y = word_table(word)
-        assert is_regular(y)[0]
-        _check_against_reference(y)
+        for y in _workload_shape_arrays():
+            _check_against_reference(y)
 
 
 FOREIGN_LABELS = "labels are not the positive components of the graph"

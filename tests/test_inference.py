@@ -14,6 +14,7 @@ from indetstr import (
     FeasibleArrayError,
     PrefixGraph,
     brute_force_lex_least,
+    build_prefix_graph,
     compute_prefix_table,
     enumerate_feasible,
     format_array,
@@ -150,6 +151,31 @@ class TestRoundTrip:
                 assert compute_prefix_table(infer(y)) == y
 
 
+def _clique_number(y):
+    """omega(G-): the size of a largest clique of the negative edges
+    build_prefix_graph(y).neg_edges, by Bron-Kerbosch with pivoting."""
+    g = build_prefix_graph(y)
+    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
+    for u, v in g.neg_edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    best = 0
+
+    def expand(size: int, cand: set[int], excl: set[int]) -> None:
+        nonlocal best
+        if not cand:
+            best = max(best, size)
+            return
+        pivot = max(cand | excl, key=lambda v: len(adj[v] & cand))
+        for v in list(cand - adj[pivot]):
+            expand(size + 1, cand & adj[v], excl & adj[v])
+            cand.remove(v)
+            excl.add(v)
+
+    expand(0, set(adj), set())
+    return best
+
+
 class TestAlphabet:
     def test_symbols_dense(self):
         for n in range(7):
@@ -181,6 +207,20 @@ class TestAlphabet:
                 if is_regular(y)[0]:
                     worst = max(worst, len(symbols_used(infer(y))))
             assert worst == n.bit_length()
+
+    def test_regular_alphabet_is_clique_number(self):
+        # positions of a clique of negative edges need pairwise disjoint
+        # letters, so every string realizing y has sigma >= omega; equality
+        # makes infer's alphabet minimum on each of these arrays
+        assert _clique_number((5, 0, 2, 1, 0)) == 3  # 1, 2 and 5
+        for n in range(12):
+            for y in regular_tables(n):
+                assert len(symbols_used(infer(y))) == _clique_number(y), y
+
+    @settings(deadline=None)
+    @given(regular_strings(max_n=200).map(compute_prefix_table))
+    def test_regular_alphabet_is_clique_number_property(self, y):
+        assert len(symbols_used(infer(y))) == _clique_number(y)
 
     def test_known_nonminimal_case(self):
         # the walk is greedy per edge, not globally optimal: for 5 2 3 1 1 it
