@@ -130,16 +130,18 @@ def _prefix_entries(x: Sequence[Letter]) -> Iterator[int]:
 
 def _scan_entries(sets: Sequence[frozenset]) -> Iterator[int]:
     """The prefix table of the letters sets by a plain quadratic scan:
-    sum(table[2..n]) + n - 1 intersection tests."""
+    sum(table[2..n]) + n - 1 intersection tests.  One running index k walks
+    the suffix from i, testing sets[k - i] against sets[k], so entry i is
+    k - i where the match breaks."""
     n = len(sets)
     if n == 0:
         return
     yield n
     for i in range(1, n):
-        j = 0
-        while i + j < n and not sets[j].isdisjoint(sets[i + j]):
-            j += 1
-        yield j
+        k = i
+        while k < n and not sets[k - i].isdisjoint(sets[k]):
+            k += 1
+        yield k - i
 
 
 def _z_entries(sets: Sequence[frozenset]) -> Iterator[int]:
@@ -251,10 +253,13 @@ def validate_feasible(values: Sequence[int]) -> FeasibleArray:
 #
 # Real texts repeat a few distinct tokens, so parse_string, parse_array and
 # format_string convert each distinct token (or letter) once per call, through
-# _map_once, in order of first occurrence.  The parsers share _parse_tokens,
-# the one place a ParseError is built; since the first bad token is the first
-# to be converted, it raises at its first position.  An error quotes a token
-# through _clip.
+# _map_once, in order of first occurrence.  parse_string also parses each
+# distinct symbol text, such as 'a' or '27', once per call, through a
+# _SymbolMemo filled inside the token parse, so a bad symbol raises within its
+# token and is never stored.  The parsers share _parse_tokens, the one place a
+# ParseError is built; since the first bad token is the first to be
+# converted, it raises at its first position.  An error quotes a token through
+# _clip.
 
 _SYMBOL_RE = re.compile(r"[a-z]|[1-9][0-9]*")
 _ARRAY_TOKEN_RE = re.compile(r"0|[1-9][0-9]*")
@@ -306,14 +311,24 @@ def _parse_tokens(text: str, parse: Callable) -> tuple:
     return tuple(_map_once(checked, tokens))
 
 
-def _parse_letter(tok: str) -> Letter:
-    braced = tok.startswith("{") and tok.endswith("}") and len(tok) > 2
-    return letter(map(_parse_symbol, tok[1:-1].split(",") if braced else [tok]))
+class _SymbolMemo(dict):
+    """Symbol text -> rank, each text parsed on its first lookup.  A bad
+    symbol raises there and is never stored."""
+
+    def __missing__(self, text: str) -> Symbol:
+        rank = self[text] = _parse_symbol(text)
+        return rank
 
 
 def parse_string(text: str) -> IndetString:
     """Parse text like 'a b a {a,b} c' into a string of letters."""
-    return _parse_tokens(text, _parse_letter)
+    rank = _SymbolMemo().__getitem__
+
+    def parse_letter(tok: str) -> Letter:
+        braced = tok.startswith("{") and tok.endswith("}") and len(tok) > 2
+        return letter(map(rank, tok[1:-1].split(",") if braced else [tok]))
+
+    return _parse_tokens(text, parse_letter)
 
 
 def format_array(y: Sequence[int]) -> str:

@@ -138,9 +138,10 @@ class PrefixGraph:
     def pos_edges(self) -> tuple[Edge, ...]:
         y = self.y
         pos: list[Edge] = []
-        for i in range(2, len(y) + 1):
-            for h in range(1, y[i - 1] + 1):
-                pos.append((h, i + h - 1))
+        for i, length in enumerate(y[1:], 2):
+            if length:
+                for h in range(1, length + 1):
+                    pos.append((h, i + h - 1))
         pos.sort()
         return tuple(pos)
 

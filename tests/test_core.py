@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -35,7 +36,8 @@ from indetstr import (
     verify_prefix_table,
 )
 from indetstr import core
-from indetstr.core import _ARRAY_TOKEN_RE, _parse_symbol, _scan_entries, format_letter
+from indetstr.bench import gen_random_feasible
+from indetstr.core import _ARRAY_TOKEN_RE, _parse_symbol, format_letter
 
 # Published example pairs used as golden values throughout.
 GOLDEN_TABLES = [
@@ -78,9 +80,18 @@ def two_condition_verify(x, y):
 
 
 def scan_table(x):
-    """Reference prefix table: the quadratic scan alone, whatever the
-    letters, as the oracle of the Z-algorithm path."""
-    return tuple(_scan_entries([frozenset(a) for a in x]))
+    """Reference prefix table: a plain two-index quadratic scan over
+    frozenset copies of the letters, whatever they are, as the oracle of
+    both paths of compute_prefix_table."""
+    sets = [frozenset(a) for a in x]
+    n = len(sets)
+    table = [n] if n else []
+    for i in range(1, n):
+        j = 0
+        while i + j < n and not sets[j].isdisjoint(sets[i + j]):
+            j += 1
+        table.append(j)
+    return tuple(table)
 
 
 def changed_claims(table):
@@ -259,6 +270,19 @@ class TestComputePrefixTable:
     @given(st.one_of(indet_strings(max_n=12), disjoint_letter_strings()))
     def test_agrees_with_scan(self, x):
         assert compute_prefix_table(x) == scan_table(x)
+
+    def test_agrees_with_scan_on_long_matches(self):
+        # infer's outputs on uniform arrays: long matches, overlapping
+        # letters and symbol ranks above 26, beyond the hypothesis draws
+        rng = random.Random(20)
+        top = 0
+        for n in range(200, 401, 50):
+            y = gen_random_feasible(n, rng)
+            x = infer(y)
+            top = max(top, *map(max, x))
+            assert compute_prefix_table(x) == scan_table(x) == y
+            assert verify_prefix_table(x, y)
+        assert top > 26
 
     @pytest.mark.parametrize("x, path, table", [
         (s("a b a a b"), "_z_entries", (5, 0, 1, 2, 0)),
@@ -603,6 +627,7 @@ class TestGrammar:
 STRING_TOKENS = [
     "a", "b", "z", "27", "{a,b}", "{b,a}", "{a}", "{a,27}", "{27,a}",
     "{a,a}", "{a,}", "{}", "0", "A", "01", "?", "{a,b", "a}", "{,}",
+    "{a,A}", "{27,01}", "{b,27,a}", "{27,28}",
 ]
 ARRAY_TOKENS = ["0", "1", "5", "10", "01", "00", "-1", "+1", "x", "1.0", "a"]
 
@@ -624,6 +649,16 @@ class TestGrammarOracle:
             for tail in itertools.product(*(range(n - i + 2) for i in range(2, n + 1))):
                 text = format_array((n, *tail))
                 assert parse_array(text) == reference_parse_array(text)
+
+    def test_each_symbol_parsed_once_per_call(self, monkeypatch):
+        calls = []
+        parse = core._parse_symbol
+        monkeypatch.setattr(core, "_parse_symbol", lambda text: calls.append(text) or parse(text))
+        x = parse_string("{a,27} {27,b} a {b,a} 27")
+        assert x == ((1, 27), (2, 27), (1,), (1, 2), (27,))
+        assert calls == ["a", "27", "b"]
+        assert parse_string("27 a") == ((27,), (1,))
+        assert calls == ["a", "27", "b", "27", "a"]
 
     @given(st.lists(st.sampled_from(STRING_TOKENS), max_size=30))
     def test_string_tokens(self, tokens):
