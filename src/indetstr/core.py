@@ -10,11 +10,9 @@ ranks render as decimal integers.  Letters are kept as strictly increasing
 tuples, so the letter order is Python's tuple order: a strict prefix comes
 first, otherwise the smaller symbol at the first difference decides, so
 {a,b,w,x,y,z} precedes {a,c}.  Strings, as tuples of letters, are ordered
-the same way.  Matching is a set intersection test.  The prefix table is
-computed over frozenset copies of the letters, one per distinct letter: by
-the Z-algorithm in O(n) when those sets are pairwise disjoint, as in every
-regular string, since matching is then equality; otherwise by a quadratic
-scan.
+the same way.  Matching is a set intersection test.  _prefix_entries states
+once which letters the prefix table takes and which of its two paths
+computes it.
 
 External indexing is 1-based everywhere (reports, diagnostics, exports);
 internally plain 0-based sequences are used.
@@ -92,7 +90,8 @@ def letters_match(a: Letter, b: Letter) -> bool:
 
 def _map_once(fn: Callable, items: Sequence) -> Iterator:
     """fn over items, called once per distinct item in order of first
-    occurrence; equal items get one shared result."""
+    occurrence; equal items get one shared result.  It iterates items
+    twice, so a one-shot iterator must become a sequence first."""
     results = dict.fromkeys(items)
     for item in results:
         results[item] = fn(item)
@@ -101,14 +100,17 @@ def _map_once(fn: Callable, items: Sequence) -> Iterator:
 
 def _prefix_entries(x: Sequence[Letter]) -> Iterator[int]:
     """The prefix table of x entry by entry: the one source of
-    compute_prefix_table and verify_prefix_table.
+    compute_prefix_table and verify_prefix_table, and the one statement of
+    their letter contract and dispatch.
 
+    A letter is a hashable tuple of symbols (Letter), as format_string
+    requires too; an unhashable letter, such as a list, raises TypeError.
     Each distinct letter becomes one frozenset, shared by all its positions.
     When these sets are nonempty and pairwise disjoint, as in every regular
     string, two letters match exactly when they share the set, and
-    _z_entries answers in O(n).  Any other x, and x with unhashable letters,
-    goes to _scan_entries.  The dispatch reads each distinct letter once,
-    while its set is built.
+    _z_entries answers in O(n).  Any other x goes to _scan_entries, a scan
+    of sum(table[2..n]) + n - 1 intersection tests.  The dispatch reads each
+    distinct letter once, while its set is built.
     """
     union = set()
     overlap = False
@@ -121,10 +123,7 @@ def _prefix_entries(x: Sequence[Letter]) -> Iterator[int]:
             union.update(f)
         return f
 
-    try:
-        sets = list(_map_once(share, x))
-    except TypeError:  # unhashable letters, such as lists
-        return _scan_entries([frozenset(a) for a in x])
+    sets = list(_map_once(share, x))
     return _scan_entries(sets) if overlap else _z_entries(sets)
 
 
@@ -165,18 +164,15 @@ def _z_entries(sets: Sequence[frozenset]) -> Iterator[int]:
         yield k
 
 
-def compute_prefix_table(x: Sequence[Letter]) -> FeasibleArray:
+def compute_prefix_table(x: Iterable[Letter]) -> FeasibleArray:
     """Prefix table of x: entry i is the length of the longest prefix of
     x[i..n] that matches a prefix of x.  Entry 1 is always n.
 
-    It takes O(n) time when the distinct letters of x are pairwise disjoint
-    sets, as in every regular string, and otherwise a scan of
-    sum(table[2..n]) + n - 1 intersection tests.
-
-    verify_prefix_table reports a claim longer than this entry as condition
-    (a) and a shorter one as condition (b).
+    _prefix_entries states which letters it takes and which path, at what
+    cost, computes the table.  verify_prefix_table reports a claim longer
+    than this entry as condition (a) and a shorter one as condition (b).
     """
-    return tuple(_prefix_entries(x))
+    return tuple(_prefix_entries(tuple(x)))
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,7 @@ class TableCheck:
         return self.ok
 
 
-def verify_prefix_table(x: Sequence[Letter], y: Sequence[int]) -> TableCheck:
+def verify_prefix_table(x: Iterable[Letter], y: Sequence[int]) -> TableCheck:
     """Check, position by position, that y is the prefix table of x.
 
     Condition (a): the claimed match holds, i.e. x[1..y[i]] matches
@@ -200,8 +196,10 @@ def verify_prefix_table(x: Sequence[Letter], y: Sequence[int]) -> TableCheck:
     not match.  With pi the prefix table of x, (a) fails exactly when
     y[i] > pi[i] or y[i] < 0, and (b) exactly when 0 <= y[i] < pi[i].  So
     the first failing position is the first i with y[i] != pi[i], and the
-    table is computed only up to it.
+    table is computed only up to it, by _prefix_entries, which states the
+    letters it takes.
     """
+    x = tuple(x)
     n = len(x)
     if len(y) != n:
         raise ValueError(
@@ -290,8 +288,8 @@ def format_letter(a: Letter) -> str:
     return "{" + ",".join(render_symbol(s) for s in a) + "}"
 
 
-def format_string(x: Sequence[Letter]) -> str:
-    return " ".join(_map_once(format_letter, x))
+def format_string(x: Iterable[Letter]) -> str:
+    return " ".join(_map_once(format_letter, tuple(x)))
 
 
 def _parse_tokens(text: str, parse: Callable) -> tuple:

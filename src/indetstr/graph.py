@@ -7,22 +7,15 @@ edge (1+y[i], i+y[i]) exists exactly when i+y[i] <= n.  Any string realizes
 the array iff it matches along every positive edge and mismatches along every
 negative edge, which is what both builders below exploit.
 
-The array is the graph's one stored fact; every other fact is read off it
-once, on first use, and cached on the graph.  The regularity verdict is one
-of them: _regular_labels decides it in O(n) and is the one labeller of a
-regular array.  positive_components, and so is_regular, take its labels, and
-regular_string_from_components, infer's answer for a regular array, colours
-them without any edge list; it takes regularity from the verdict as well,
-and refuses labels other than positive_components'.  Only a non-regular
-array reaches the range union, _range_union.  No view reads another.
-The edges of each sign are read off the array level by level, grouped by
-the smaller end and already in (u, v) order: _positive_levels and
-_negative_levels.  The export renders both through _level_lines and one
-table of vertex names; edge_label_string takes the positive levels, and
-neg_adj, the walk's negative rows, the negative levels, with no sort.
-neg_edges, the sorted negative edge tuples, comes from _negative_edges
-alone, and nothing in the library reads it.  pos_edges, the sorted
-positive edge tuples, has one reader, the walk.
+The array is the graph's one stored fact; every other fact is a view read
+off it once, on first use, and cached on the graph.  The PrefixGraph
+docstring lists the views and what reads each.  The regularity verdict is
+one of them: _regular_labels decides it in O(n) and is the one labeller of
+a regular array, and regular_string_from_components, infer's answer for a
+regular array, colours its labels without any edge list.  Only a
+non-regular array reaches the range union, _range_union.  The edges of each
+sign are read off the array level by level, grouped by the smaller end and
+already in (u, v) order: _positive_levels and _negative_levels.
 
 build_prefix_graph is the one feasibility check on the graph's paths: infer,
 is_regular and the graph command build the graph from the array here, so
@@ -96,13 +89,21 @@ def _level_lines(
 class PrefixGraph:
     """Vertices 1..n of the feasible array y, the one stored field.
 
-    Four views are read off y on first use and then cached, so only readers
-    pay: neg_edges and pos_edges ascend by (u, v) with u < v, neg_adj holds
-    each vertex's negative neighbours in ascending order, read off the
-    negative levels with no sort, and regular_labels is the regularity
-    verdict (_regular_labels).  Only the walk reads pos_edges and neg_adj;
-    the export reads neither edge view, and neg_edges serves callers that
-    want the negative edges as tuples.
+    Four views are read off y on first use and then cached, so only their
+    readers pay, and no view is built from another:
+    - neg_edges, the at most n-1 negative edges (u, v), u < v, ascending,
+      from _negative_edges alone.  Nothing in the library reads it; it
+      serves callers that want the negative edges as tuples.
+    - neg_adj, each vertex's negative neighbours, ascending, read off
+      _negative_levels with no sort.  Only the walk reads it.
+    - pos_edges, the up to n(n-1)/2 positive edges (u, v), u < v, ascending.
+      Only the walk reads it.
+    - regular_labels, the O(n) regularity verdict (_regular_labels).
+      positive_components, and so is_regular, take its labels; infer and
+      regular_string_from_components take regularity from it.
+    The export reads no view: it renders the levels of either sign,
+    _positive_levels and _negative_levels, through _level_lines and one
+    table of vertex names.  edge_label_string reads the positive levels.
     """
 
     y: FeasibleArray

@@ -141,6 +141,18 @@ def outcome(fn, text):
         return type(e), str(e), e.token
 
 
+def record_paths(monkeypatch):
+    """Wrap both prefix-table paths so that each call appends its name to
+    the list returned."""
+    taken = []
+    for name in ("_scan_entries", "_z_entries"):
+        entries = getattr(core, name)
+        monkeypatch.setattr(
+            core, name, lambda sets, name=name, entries=entries: taken.append(name) or entries(sets)
+        )
+    return taken
+
+
 def subset_letters(sigma):
     """Every letter over the symbols 1..sigma."""
     return [
@@ -292,25 +304,50 @@ class TestComputePrefixTable:
         (s("{a,b} {b,c}"), "_scan_entries", (2, 1)),
         # an empty letter matches nothing, not even itself
         (((), ()), "_scan_entries", (2, 0)),
-        ([[1], [1]], "_scan_entries", (2, 1)),
-    ], ids=["regular", "disjoint", "empty-string", "overlap", "chain", "empty-letter", "lists"])
+    ], ids=["regular", "disjoint", "empty-string", "overlap", "chain", "empty-letter"])
     def test_path_taken(self, monkeypatch, x, path, table):
-        taken = []
-        for name in ("_scan_entries", "_z_entries"):
-            entries = getattr(core, name)
-            monkeypatch.setattr(
-                core, name, lambda sets, name=name, entries=entries: taken.append(name) or entries(sets)
-            )
+        taken = record_paths(monkeypatch)
         assert compute_prefix_table(x) == table
         assert taken == [path]
 
-    def test_list_letters(self):
-        # lists are unhashable, so the scan cannot share their sets
-        x = [[1, 3], [2], [1], [1, 2], [3], [1, 2]]
-        table = compute_prefix_table(tuple(map(tuple, x)))
-        assert compute_prefix_table(x) == table == (6, 0, 2, 1, 2, 1)
-        assert verify_prefix_table(x, table)
-        assert verify_prefix_table(x, (6, 0, 2, 1, 1, 1)) == TableCheck(False, 5, "b")
+    def test_dispatch_exhaustive(self, monkeypatch):
+        # all 19,608 strings over the seven letters of {a, b, c} with n <= 5,
+        # through both paths: the table against the scan oracle, then each
+        # entry one above (condition (a) there) and each positive entry one
+        # below (condition (b) there)
+        taken = record_paths(monkeypatch)
+        for n in range(6):
+            for x in itertools.product(subset_letters(3), repeat=n):
+                table = scan_table(x)
+                assert compute_prefix_table(x) == table, x
+                assert verify_prefix_table(x, table), x
+                for i, v in enumerate(table):
+                    up = table[:i] + (v + 1,) + table[i + 1 :]
+                    assert verify_prefix_table(x, up) == TableCheck(False, i + 1, "a"), (x, up)
+                    if v:
+                        down = table[:i] + (v - 1,) + table[i + 1 :]
+                        assert verify_prefix_table(x, down) == TableCheck(False, i + 1, "b"), (x, down)
+        assert set(taken) == {"_scan_entries", "_z_entries"}
+
+    def test_list_letters_raise(self):
+        # a letter is a hashable tuple of symbols
+        x = [[1, 3], [2], [1]]
+        with pytest.raises(TypeError):
+            compute_prefix_table(x)
+        with pytest.raises(TypeError):
+            verify_prefix_table(x, (3, 0, 1))
+        with pytest.raises(TypeError):
+            format_string(x)
+
+    def test_one_shot_iterable(self):
+        # each string function reads an iterator of letters as its tuple
+        x = s("a b a {a,b} c")
+        y = (5, 0, 2, 1, 0)
+        assert compute_prefix_table(iter(x)) == compute_prefix_table(x) == y
+        assert format_string(iter(x)) == format_string(x) == "a b a {a,b} c"
+        assert verify_prefix_table(iter(x), y) == TableCheck(True)
+        assert verify_prefix_table(iter(x), (5, 0, 2, 2, 0)) == TableCheck(False, 4, "a")
+        assert infer(iter(y)) == x
 
 
 class TestVerifyPrefixTable:
