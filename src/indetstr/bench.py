@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .core import compute_prefix_table
-from .graph import _negative_edges
+from .graph import _negative_levels
 from .inference import infer
 
 CSV_HEADER = "n,trials,mean_us,median_us,max_us,mean_sigma,mean_pos_edges,mean_neg_edges"
@@ -65,7 +65,7 @@ def run_bench(cfg: BenchConfig) -> str:
             times_us.append((time.perf_counter() - t0) * 1e6)
             sigmas.append(max(max(a) for a in x))
             pos_counts.append(sum(y[1:]))
-            neg_counts.append(sum(1 for _ in _negative_edges(y)))
+            neg_counts.append(sum(len(vs) for _, vs in _negative_levels(y)))
             if k % 100 == 0 and compute_prefix_table(x) != y:
                 raise AssertionError(f"round-trip failed for {y}")
         rows.append(

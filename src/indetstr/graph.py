@@ -12,10 +12,12 @@ off it once, on first use, and cached on the graph.  The PrefixGraph
 docstring lists the views and what reads each.  The regularity verdict is
 one of them: _regular_labels decides it in O(n) and is the one labeller of
 a regular array, and regular_string_from_components, infer's answer for a
-regular array, colours its labels without any edge list.  Only a
-non-regular array reaches the range union, _range_union.  The edges of each
-sign are read off the array level by level, grouped by the smaller end and
-already in (u, v) order: _positive_levels and _negative_levels.
+regular array, colours its labels from the negative edges that end at a
+component's first position.  Only a non-regular array reaches the range
+union, _range_union.  The edges of each sign are read off the array level
+by level, grouped by the smaller end and already in (u, v) order:
+_positive_levels and _negative_levels, the one statement of the
+negative-edge rule that every reader of a negative edge goes through.
 
 build_prefix_graph is the one feasibility check on the graph's paths: infer,
 is_regular and the graph command build the graph from the array here, so
@@ -32,12 +34,6 @@ from .core import FeasibleArray, IndetString, validate_feasible
 
 Edge = tuple[int, int]
 Level = tuple[int, list[int]]  # (u, vs): the edges (u, v), v in vs, ascending
-
-
-def _negative_edges(y: FeasibleArray) -> Iterator[Edge]:
-    """Negative edges (1+y[i], i+y[i]), i+y[i] <= n (never i = 1: y[1] = n)."""
-    n = len(y)
-    return ((1 + v, i + v) for i, v in enumerate(y, 1) if i + v <= n)
 
 
 def _positive_levels(y: FeasibleArray) -> Iterator[Level]:
@@ -63,8 +59,8 @@ def _negative_levels(y: FeasibleArray) -> list[Level]:
 
     One pass over y files each v under its u; for a fixed u, v = i+u-1
     grows with i, so each vs ascends and only the at most n distinct u are
-    sorted, never the edges.  The export and neg_adj both read G- in this
-    order.
+    sorted, never the edges.  Every reader of G- reads it in this order:
+    neg_edges, neg_adj, the export, the regular witness and bench.
     """
     n = len(y)
     by_u: dict[int, list[int]] = {}
@@ -91,9 +87,10 @@ class PrefixGraph:
 
     Four views are read off y on first use and then cached, so only their
     readers pay, and no view is built from another:
-    - neg_edges, the at most n-1 negative edges (u, v), u < v, ascending,
-      from _negative_edges alone.  Nothing in the library reads it; it
-      serves callers that want the negative edges as tuples.
+    - neg_edges, the at most n-1 negative edges (u, v), u < v, ascending:
+      the levels of _negative_levels concatenated, with no sort.  Nothing
+      in the library reads it; it serves callers that want the negative
+      edges as tuples.
     - neg_adj, each vertex's negative neighbours, ascending, read off
       _negative_levels with no sort.  Only the walk reads it.
     - pos_edges, the up to n(n-1)/2 positive edges (u, v), u < v, ascending.
@@ -114,7 +111,7 @@ class PrefixGraph:
 
     @cached_property
     def neg_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(_negative_edges(self.y)))
+        return tuple((u, v) for u, vs in _negative_levels(self.y) for v in vs)
 
     @cached_property
     def neg_adj(self) -> tuple[tuple[int, ...], ...]:
@@ -295,15 +292,40 @@ def regular_string_from_components(
     g: PrefixGraph, labels: Sequence[int]
 ) -> IndetString:
     """Regular witness, with one-symbol letters; infer's answer for a
-    regular y.
+    regular y, and the lex-least regular string realizing y.
 
     Regularity is the graph's verdict, g.regular_labels; nothing here
     decides it again.  labels must equal positive_components(g), each
-    component's smallest member; any other labelling raises ValueError.
-    Components are taken in that order, and each gets the smallest symbol
-    held by no earlier component joined to it by a negative edge.  Positive
-    edges stay inside a component and negative ones join components of
-    different symbols, so the result realizes y.  Only the at most n-1
+    component's smallest member, its first position; any other labelling
+    raises ValueError.  Components are coloured in that order: the one
+    whose first position is v gets the smallest symbol held by none of the
+    components labels[u] over the negative edges (u, v), which the one
+    pass over _negative_levels files under v.  An edge whose larger end is
+    not a first position is never filed; it needs no test of its own.
+
+    Proof that the colouring separates the ends of every negative edge
+    (u, v), by induction on v, where entry i gives u = 1+y[i] and
+    v = i+y[i].  If v is a first position, it does by construction
+    (labels[u] <= u < v).  Otherwise v copies an earlier position in
+    _regular_labels: some box l >= 2, [l, l+y[l]), covers v, so the
+    positive edge (v-l+1, v) holds; l != i, since box i ends at v-1.  Some
+    regular string z realizes y, so y obeys the Z-box lemma, which gives a
+    negative edge between the same two components with both ends below v:
+    - l < i: box l covers [i, v], so entry i-l+1 equals y[i] and gives
+      (u, v-l+1);
+    - i < l < v: box l reaches past box i, so entry l-i+1 is v-l and gives
+      (v-l+1, u);
+    - l = v: z[u] != z[v] = z[1], so y[u] = 0 and entry u gives (1, u).
+    That edge's colours differ by induction.  Positive edges stay inside a
+    component, so the result realizes y.
+
+    The induction uses no greedy choice, so a regular string realizes y
+    exactly when it is constant on each component and each first position
+    v mismatches the smaller ends u of its negative edges (u, v).  Read
+    left to right, a position that is not first is forced by an earlier
+    one, and at a first position every symbol not excluded by earlier ones
+    extends to a realization.  So taking the smallest such symbol at each
+    first position gives the lex-least regular string.  Only the at most n-1
     negative edges are read, so the table of a^n costs O(n).  When y is not
     regular, raises ValueError naming the least negative edge that stays
     inside a component (no regular witness exists).
@@ -311,23 +333,23 @@ def regular_string_from_components(
     if tuple(labels) != positive_components(g):
         raise ValueError("labels are not the positive components of the graph")
     if g.regular_labels is None:
-        u, v = min((u, v) for u, v in _negative_edges(g.y) if labels[u] == labels[v])
+        # the levels come in (u, v) order, so the first edge inside is the least
+        edges = ((u, v) for u, vs in _negative_levels(g.y) for v in vs)
+        u, v = next((u, v) for u, v in edges if labels[u] == labels[v])
         raise ValueError(
             f"array is not regular: positions {u} and {v} must mismatch "
             "but lie in one forced-match component"
         )
-    earlier: list[list[int]] = [[] for _ in labels]  # by component label
-    for u, v in _negative_edges(g.y):
-        a, b = labels[u], labels[v]
-        if a < b:
-            earlier[b].append(a)
-        else:
-            earlier[a].append(b)
+    earlier: dict[int, list[int]] = {}  # first position v -> labels[u]
+    for u, vs in _negative_levels(g.y):
+        for v in vs:
+            if labels[v] == v:
+                earlier.setdefault(v, []).append(labels[u])
     colour = [0] * len(labels)
     for c in range(1, len(labels)):
         if labels[c] == c:
             taken = 1
-            for a in earlier[c]:
+            for a in earlier.get(c, ()):
                 taken |= 1 << colour[a]
             colour[c] = ((taken + 1) & ~taken).bit_length() - 1
     letters = [()] + [(s,) for s in range(1, max(colour, default=0) + 1)]

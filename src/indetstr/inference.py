@@ -40,11 +40,14 @@ infer chooses between two paths on the graph's regularity verdict,
 PrefixGraph.regular_labels, and _walk is only the walk.  A regular array
 skips it: the O(n) verdict yields its positive components, and the one
 regular witness, graph.regular_string_from_components, colours them
-greedily in O(n), with one-symbol letters.  That this is also the walk's
-string is not proven; it is checked on every feasible array up to length 8,
-every regular array up to length 11, hypothesis draws up to length 200 and
-the benchmark pools.  infer_with_trace always walks, so its trace
-describes the walk.
+greedily in O(n), with one-symbol letters.  Its docstring proves that the
+colouring realizes the array and is the lex-least regular string that
+does.  That it is also the walk's string, and that its sigma equals the
+largest clique of negative edges, are not proven; both are checked on
+every regular array up to length 11 and on hypothesis draws up to length
+200, and the first also on every feasible array up to length 8 and the
+benchmark pools.  infer_with_trace always walks, so its trace describes
+the walk.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from indetstr import (
 from indetstr import graph as graph_module
 from indetstr.bench import gen_random_feasible
 from indetstr.graph import (
-    _negative_edges,
     _negative_levels,
     _positive_levels,
     _range_union,
@@ -355,7 +354,7 @@ class TestEdgeFreePaths:
         def no_scan(y):
             raise AssertionError("negative edges were scanned")
 
-        monkeypatch.setattr(graph_module, "_negative_edges", no_scan)
+        monkeypatch.setattr(graph_module, "_negative_levels", no_scan)
         assert is_regular((8, 0, 1, 0, 3, 0, 1, 0)) == (
             True, (0, 1, 2, 1, 4, 1, 2, 1, 8)
         )
@@ -498,7 +497,7 @@ def _workload_shape_arrays():
     # a random string over 4 symbols: most negative edges leave u = 1
     # (y[i] = 0), a few thousand of them
     y = word_table([rng.randrange(4) for _ in range(3000)])
-    assert [u for u, v in _negative_edges(y)].count(1) > 2000
+    assert len(_negative_levels(y)[0][1]) > 2000
     # entry i uniform on 0..n-i+1: the negative edges spread over
     # hundreds of u, one or two each
     arrays = [y, gen_random_feasible(1000, rng)]
@@ -543,6 +542,24 @@ def _witness(y):
     return regular_string_from_components(g, positive_components(g))
 
 
+def _all_mismatch_witness(y):
+    """Oracle for the regular witness: every negative edge (1+y[i], i+y[i]),
+    taken from the definition, is filed under the later of its two
+    components, and each component, in order of its smallest member, gets
+    the smallest symbol held by none of the earlier ones filed under it."""
+    labels = positive_components(build_prefix_graph(y))
+    earlier = [set() for _ in labels]
+    for i, v in enumerate(y, 1):
+        if i + v <= len(y):
+            a, b = sorted((labels[1 + v], labels[i + v]))
+            earlier[b].add(a)
+    colour = {}
+    for c in sorted(set(labels[1:])):
+        taken = {colour[a] for a in earlier[c]}
+        colour[c] = next(s for s in itertools.count(1) if s not in taken)
+    return tuple((colour[c],) for c in labels[1:])
+
+
 class TestRegularWitness:
     def test_golden_strings(self):
         assert _witness((8, 0, 1, 0, 3, 0, 1, 0)) == s("a b a c a b a d")
@@ -560,15 +577,26 @@ class TestRegularWitness:
                 seen.append(sym)
         assert seen == sorted(seen)
 
-    def test_equals_infer_on_regular_tables(self):
+    # the witness files only the edges that end at a first position; the
+    # oracle files every edge, so these check the proof in its docstring
+    def test_equals_old_rule_on_regular_tables(self):
         for n in range(12):
             for y in regular_tables(n):
-                assert _witness(y) == infer(y), y
+                assert _witness(y) == _all_mismatch_witness(y), y
 
     @settings(deadline=None)
     @given(regular_strings(max_n=200).map(compute_prefix_table))
-    def test_equals_infer(self, y):
-        assert _witness(y) == infer(y)
+    def test_equals_old_rule(self, y):
+        assert _witness(y) == _all_mismatch_witness(y)
+
+    def test_equals_old_rule_at_workload_shape(self):
+        # the regular period-5 array: most of its negative edges end past
+        # a component's first position
+        y = _workload_shape_arrays()[-1]
+        g = build_prefix_graph(y)
+        labels = positive_components(g)
+        assert sum(labels[v] != v for u, v in g.neg_edges) > len(g.neg_edges) / 2
+        assert _witness(y) == _all_mismatch_witness(y)
 
     @pytest.mark.parametrize("y, labels", [
         # a non-regular array labelled as if every position stood alone
