@@ -11,7 +11,7 @@ tuples, so the letter order is Python's tuple order: a strict prefix comes
 first, otherwise the smaller symbol at the first difference decides, so
 {a,b,w,x,y,z} precedes {a,c}.  Strings, as tuples of letters, are ordered
 the same way.  Matching is a set intersection test.  _prefix_entries states
-once which letters the prefix table takes and which of its two paths
+once which letters the prefix table takes and which of its three exits
 computes it.
 
 External indexing is 1-based everywhere (reports, diagnostics, exports);
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -98,7 +99,7 @@ def _map_once(fn: Callable, items: Sequence) -> Iterator:
     return map(results.__getitem__, items)
 
 
-def _prefix_entries(x: Sequence[Letter]) -> Iterator[int]:
+def _prefix_entries(x: Sequence[Letter], y: Sequence = ()) -> Iterator[int]:
     """The prefix table of x entry by entry: the one source of
     compute_prefix_table and verify_prefix_table, and the one statement of
     their letter contract and dispatch.
@@ -106,11 +107,23 @@ def _prefix_entries(x: Sequence[Letter]) -> Iterator[int]:
     A letter is a hashable tuple of symbols (Letter), as format_string
     requires too; an unhashable letter, such as a list, raises TypeError.
     Each distinct letter becomes one frozenset, shared by all its positions.
-    When these sets are nonempty and pairwise disjoint, as in every regular
-    string, two letters match exactly when they share the set, and
-    _z_entries answers in O(n).  Any other x goes to _scan_entries, a scan
-    of sum(table[2..n]) + n - 1 intersection tests.  The dispatch reads each
-    distinct letter once, while its set is built.
+    The dispatch reads each distinct letter once, while its set is built,
+    and chooses one of three exits up front:
+
+    - _z_entries, when these sets are nonempty and pairwise disjoint, as in
+      every regular string: two letters match exactly when they share the
+      set, and the Z-algorithm answers in O(n).
+    - _shift_and_entries, on any other x when y, a claimed table that only
+      verify_prefix_table passes, claims long matches: the sum of the
+      probe y[1::step], at most 64 evenly spaced claims, exceeds 4 times
+      its length, a claim that is not an int counting as 0.  It costs
+      O(sum(|x[k]|)) setup plus max(table[2..n]) + 1 steps of O(n/64)-word
+      int operations, and O((sigma + d) * n) bits of memory, where sigma
+      is the number of symbols and d the number of distinct letters the
+      steps read.  It builds the whole table before the first entry.
+    - _scan_entries otherwise, compute_prefix_table always: a scan of
+      sum(table[2..n]) + n - 1 intersection tests, which is the cheaper
+      exit while the mean entry stays below about 4.
     """
     union = set()
     overlap = False
@@ -124,7 +137,12 @@ def _prefix_entries(x: Sequence[Letter]) -> Iterator[int]:
         return f
 
     sets = list(_map_once(share, x))
-    return _scan_entries(sets) if overlap else _z_entries(sets)
+    if not overlap:
+        return _z_entries(sets)
+    probe = y[1 :: (len(y) + 62) // 64 or 1]
+    if sum(v for v in probe if isinstance(v, int)) > 4 * len(probe):
+        return _shift_and_entries(sets)
+    return _scan_entries(sets)
 
 
 def _scan_entries(sets: Sequence[frozenset]) -> Iterator[int]:
@@ -141,6 +159,60 @@ def _scan_entries(sets: Sequence[frozenset]) -> Iterator[int]:
         while k < n and not sets[k - i].isdisjoint(sets[k]):
             k += 1
         yield k - i
+
+
+def _shift_and_entries(sets: Sequence[frozenset]) -> Iterator[int]:
+    """The prefix table of the letters sets by Shift-And (Baeza-Yates and
+    Gonnet, A new approach to text searching, CACM 1992), as Holub, Smyth
+    and Wang apply it to indeterminate strings (Fast pattern-matching on
+    indeterminate strings, J. Discrete Algorithms 2008), with bits that
+    stand for positions, not symbols.
+
+    Each symbol gets one int of the positions that hold it, built from one
+    bytearray row of '0' and '1'; symbols stay dict keys, so any hashable
+    rank is safe.  masks[a], the positions whose letters match a, is the OR
+    of the ints of a's symbols, built the first time a step reads a.  live
+    holds the shifts i whose match has survived steps 0..j-1; step j keeps
+    those where sets[i + j] matches sets[j], and every shift it drops gets
+    entry j.  The loop ends once live is empty, after max(table[2..n]) + 1
+    steps."""
+    n = len(sets)
+    if n == 0:
+        return
+    # positions first, then one row at a time: never sigma rows of n bytes
+    where = defaultdict(list)
+    for k, a in enumerate(sets):
+        for s in a:
+            where[s].append(k)
+    bits = {}
+    for s, ks in where.items():
+        row = bytearray(b"0") * (ks[-1] + 1)
+        for k in ks:
+            row[k] = 49  # ord("1")
+        bits[s] = int(row[::-1], 2)
+    masks = {}
+    table = [0] * n
+    table[0] = n
+    live = (1 << n) - 2  # the shifts 1..n-1
+    j = 0
+    while live:
+        a = sets[j]
+        m = masks.get(a)
+        if m is None:
+            m = 0
+            for s in a:
+                m |= bits[s]
+            masks[a] = m
+        kept = live & (m >> j)
+        dead = bin(live ^ kept)  # bit i is character top - i
+        top = len(dead) - 1
+        i = dead.find("1", 2)
+        while i >= 0:
+            table[top - i] = j
+            i = dead.find("1", i + 1)
+        live = kept
+        j += 1
+    yield from table
 
 
 def _z_entries(sets: Sequence[frozenset]) -> Iterator[int]:
@@ -168,8 +240,9 @@ def compute_prefix_table(x: Iterable[Letter]) -> FeasibleArray:
     """Prefix table of x: entry i is the length of the longest prefix of
     x[i..n] that matches a prefix of x.  Entry 1 is always n.
 
-    _prefix_entries states which letters it takes and which path, at what
-    cost, computes the table.  verify_prefix_table reports a claim longer
+    _prefix_entries states which letters it takes and which exit, at what
+    cost, computes the table; with no claimed table to probe, overlapping
+    letters take the scan.  verify_prefix_table reports a claim longer
     than this entry as condition (a) and a shorter one as condition (b).
     """
     return tuple(_prefix_entries(tuple(x)))
@@ -197,7 +270,8 @@ def verify_prefix_table(x: Iterable[Letter], y: Sequence[int]) -> TableCheck:
     y[i] > pi[i] or y[i] < 0, and (b) exactly when 0 <= y[i] < pi[i].  So
     the first failing position is the first i with y[i] != pi[i], and the
     table is computed only up to it, by _prefix_entries, which states the
-    letters it takes.
+    letters it takes, unless y's probe sends the string to Shift-And, which
+    builds the whole table first.
     """
     x = tuple(x)
     n = len(x)
@@ -205,7 +279,8 @@ def verify_prefix_table(x: Iterable[Letter], y: Sequence[int]) -> TableCheck:
         raise ValueError(
             f"length mismatch: string has {n} positions, array has {len(y)}"
         )
-    for i, (v, p) in enumerate(zip(y, _prefix_entries(x)), start=1):
+    y = tuple(y)  # the probe slices it, which a deque cannot be
+    for i, (v, p) in enumerate(zip(y, _prefix_entries(x, y)), start=1):
         if v != p:
             return TableCheck(False, i, "a" if v > p or v < 0 else "b")
     return TableCheck(True)

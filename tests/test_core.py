@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -142,15 +143,30 @@ def outcome(fn, text):
 
 
 def record_paths(monkeypatch):
-    """Wrap both prefix-table paths so that each call appends its name to
-    the list returned."""
+    """Wrap the three prefix-table exits so that each call appends its name
+    to the list returned."""
     taken = []
-    for name in ("_scan_entries", "_z_entries"):
+    for name in ("_scan_entries", "_z_entries", "_shift_and_entries"):
         entries = getattr(core, name)
         monkeypatch.setattr(
             core, name, lambda sets, name=name, entries=entries: taken.append(name) or entries(sets)
         )
     return taken
+
+
+def long_match_strings(lengths=range(200, 401, 50)):
+    """infer's outputs on uniform random arrays of the given lengths, each
+    with its table: long matches, overlapping letters and symbol ranks
+    above 26, beyond the hypothesis draws."""
+    rng = random.Random(20)
+    for n in lengths:
+        y = gen_random_feasible(n, rng)
+        yield infer(y), y
+
+
+def shift_and_table(x):
+    """compute_prefix_table(x) through the Shift-And exit alone."""
+    return tuple(core._shift_and_entries(list(core._map_once(frozenset, x))))
 
 
 def subset_letters(sigma):
@@ -284,13 +300,8 @@ class TestComputePrefixTable:
         assert compute_prefix_table(x) == scan_table(x)
 
     def test_agrees_with_scan_on_long_matches(self):
-        # infer's outputs on uniform arrays: long matches, overlapping
-        # letters and symbol ranks above 26, beyond the hypothesis draws
-        rng = random.Random(20)
         top = 0
-        for n in range(200, 401, 50):
-            y = gen_random_feasible(n, rng)
-            x = infer(y)
+        for x, y in long_match_strings():
             top = max(top, *map(max, x))
             assert compute_prefix_table(x) == scan_table(x) == y
             assert verify_prefix_table(x, y)
@@ -348,6 +359,78 @@ class TestComputePrefixTable:
         assert verify_prefix_table(iter(x), y) == TableCheck(True)
         assert verify_prefix_table(iter(x), (5, 0, 2, 2, 0)) == TableCheck(False, 4, "a")
         assert infer(iter(y)) == x
+
+
+class TestShiftAnd:
+    # The Shift-And exit against the scan oracle, called directly: verify
+    # sends no string with n <= 8 there with its own table, whose
+    # sum(table[2..n]) is at most n(n-1)/2, so the exhaustive dispatch
+    # tests cannot reach it.
+
+    def test_exhaustive(self):
+        # all 137,257 strings over the seven letters of {a, b, c}, n <= 6
+        for n in range(7):
+            for x in itertools.product(subset_letters(3), repeat=n):
+                assert shift_and_table(x) == scan_table(x), x
+
+    @given(st.one_of(indet_strings(max_n=40, max_sigma=3), indet_strings(max_n=12)))
+    def test_agrees_with_scan(self, x):
+        assert shift_and_table(x) == scan_table(x)
+
+    def test_huge_ranks(self):
+        # symbols are dict keys, never bit positions
+        big = 10**30
+        x = s(f"{{a,{big}}} {big} {{{big},{big + 1}}} {big + 1} {{a,{big + 1}}} {big}")
+        assert shift_and_table(x) == scan_table(x) == (6, 4, 1, 0, 2, 1)
+
+    def test_empty_letters(self):
+        # an empty letter matches nothing, not even itself
+        for n in range(7):
+            for x in itertools.product([(), (1,), (2,), (1, 2)], repeat=n):
+                assert shift_and_table(x) == scan_table(x), x
+
+    def test_exits_on_long_matches(self, monkeypatch):
+        # verify reads the claimed table's probe; pt passes no claims
+        taken = record_paths(monkeypatch)
+        for x, y in long_match_strings():
+            assert verify_prefix_table(x, y)
+            assert taken.pop() == "_shift_and_entries"
+            assert compute_prefix_table(x) == y
+            assert taken.pop() == "_scan_entries"
+        # entries averaging below 4: the scan
+        x = s("{a,b} a b a {a,b} c a b {a,b} a b c a a b c")
+        y = scan_table(x)
+        assert sum(y[1:]) < 4 * (len(y) - 1)
+        assert verify_prefix_table(x, y)
+        assert taken == ["_scan_entries"]
+
+    def test_one_off_claims_on_long_matches(self, monkeypatch):
+        # each claim one above and each positive claim one below, at 20
+        # evenly spaced positions, through the Shift-And exit
+        taken = record_paths(monkeypatch)
+        for x, y in long_match_strings(range(200, 401, 100)):
+            n = len(y)
+            for i in range(1, n, n // 20):
+                for v in (y[i] + 1, y[i] - 1)[: 1 + (y[i] > 0)]:
+                    claim = y[:i] + (v,) + y[i + 1 :]
+                    check = verify_prefix_table(x, claim)
+                    assert check == two_condition_verify(x, claim), (n, i, v)
+                    assert check == TableCheck(False, i + 1, "a" if v > y[i] else "b")
+        assert set(taken) == {"_shift_and_entries"}
+
+    def test_probe_never_raises_where_a_claim_fails_first(self, monkeypatch):
+        # a claim that is not an int counts as 0 in the probe, so the
+        # verdict is still the first failing position, whatever the exit
+        taken = record_paths(monkeypatch)
+        x, y = next(long_match_strings())
+        for bad in (None, "7", 2.5):
+            claim = (*y[:10], y[10] + 1, *y[11:-5], bad, *y[-4:])
+            for seq in (tuple, list, collections.deque):
+                assert verify_prefix_table(x, seq(claim)) == TableCheck(False, 11, "a")
+        short = s("a {a,b} b")
+        assert verify_prefix_table(short, (3, 1, None)) == TableCheck(False, 2, "b")
+        assert verify_prefix_table(short, (3, 1, "0")) == TableCheck(False, 2, "b")
+        assert set(taken) == {"_shift_and_entries", "_scan_entries"}
 
 
 class TestVerifyPrefixTable:
