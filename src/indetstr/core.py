@@ -99,6 +99,14 @@ def _map_once(fn: Callable, items: Sequence) -> Iterator:
     return map(results.__getitem__, items)
 
 
+# The Shift-And exit's three sizes, each stated in _prefix_entries and
+# _shift_and_entries.  _LONG_CLAIM sits at the measured crossover with the
+# scan (see CHANGES.md); _FEW_LIVE anywhere in 16..128 timed the same.
+_LONG_CLAIM = 4
+_FEW_LIVE = 32
+_CACHE_BITS = 64
+
+
 def _prefix_entries(x: Sequence[Letter], y: Sequence = ()) -> Iterator[int]:
     """The prefix table of x entry by entry: the one source of
     compute_prefix_table and verify_prefix_table, and the one statement of
@@ -114,16 +122,20 @@ def _prefix_entries(x: Sequence[Letter], y: Sequence = ()) -> Iterator[int]:
       every regular string: two letters match exactly when they share the
       set, and the Z-algorithm answers in O(n).
     - _shift_and_entries, on any other x when y, a claimed table that only
-      verify_prefix_table passes, claims long matches: the sum of the
-      probe y[1::step], at most 64 evenly spaced claims, exceeds 4 times
-      its length, a claim that is not an int counting as 0.  It costs
-      O(sum(|x[k]|)) setup plus max(table[2..n]) + 1 steps of O(n/64)-word
-      int operations, and O((sigma + d) * n) bits of memory, where sigma
-      is the number of symbols and d the number of distinct letters the
-      steps read.  It builds the whole table before the first entry.
+      verify_prefix_table passes, claims long matches: more than half of
+      the probe y[1::step], at most 64 evenly spaced claims, exceed
+      _LONG_CLAIM (a claim that is not an int counts as short), so one long
+      or wrong claim cannot tip it.  With N = sum(|x[k]|), it takes O(n + N)
+      memory and O(N) setup.  Each step costs O(n): ints of up to n bits
+      and, when shifts drop out, a bin() string of up to n characters.  A
+      step that reads a letter first also builds an int of up to n bits for
+      each of its symbols not yet cached, or, once the cache is full, one
+      row for all of them, O(n + N).  Steps run only while at least
+      n / _FEW_LIVE shifts are live, each a test the scan would make at
+      that step, so at most max(table[2..n]) + 1 run; the scan finishes
+      the shifts left.  It builds the whole table before the first entry.
     - _scan_entries otherwise, compute_prefix_table always: a scan of
-      sum(table[2..n]) + n - 1 intersection tests, which is the cheaper
-      exit while the mean entry stays below about 4.
+      sum(table[2..n]) + n - 1 intersection tests in O(N) memory.
     """
     union = set()
     overlap = False
@@ -140,7 +152,7 @@ def _prefix_entries(x: Sequence[Letter], y: Sequence = ()) -> Iterator[int]:
     if not overlap:
         return _z_entries(sets)
     probe = y[1 :: (len(y) + 62) // 64 or 1]
-    if sum(v for v in probe if isinstance(v, int)) > 4 * len(probe):
+    if 2 * sum(isinstance(v, int) and v > _LONG_CLAIM for v in probe) > len(probe):
         return _shift_and_entries(sets)
     return _scan_entries(sets)
 
@@ -161,6 +173,26 @@ def _scan_entries(sets: Sequence[frozenset]) -> Iterator[int]:
         yield k - i
 
 
+def _positions_int(ks: Iterable[int], length: int) -> int:
+    """The int with bit k set for each k in ks, all below length: one
+    bytearray row of '0' and '1', converted once."""
+    row = bytearray(b"0") * length
+    for k in ks:
+        row[k] = 49  # ord("1")
+    return int(row[::-1], 2)
+
+
+def _bit_indices(v: int) -> Iterator[int]:
+    """The indices of the set bits of v >= 0, read off bin(v) with
+    str.find: O(log v) character work."""
+    text = bin(v)
+    top = len(text) - 1  # bit i is character top - i
+    c = text.find("1", 2)
+    while c >= 0:
+        yield top - c
+        c = text.find("1", c + 1)
+
+
 def _shift_and_entries(sets: Sequence[frozenset]) -> Iterator[int]:
     """The prefix table of the letters sets by Shift-And (Baeza-Yates and
     Gonnet, A new approach to text searching, CACM 1992), as Holub, Smyth
@@ -168,50 +200,66 @@ def _shift_and_entries(sets: Sequence[frozenset]) -> Iterator[int]:
     indeterminate strings, J. Discrete Algorithms 2008), with bits that
     stand for positions, not symbols.
 
-    Each symbol gets one int of the positions that hold it, built from one
-    bytearray row of '0' and '1'; symbols stay dict keys, so any hashable
-    rank is safe.  masks[a], the positions whose letters match a, is the OR
-    of the ints of a's symbols, built the first time a step reads a.  live
-    holds the shifts i whose match has survived steps 0..j-1; step j keeps
-    those where sets[i + j] matches sets[j], and every shift it drops gets
-    entry j.  The loop ends once live is empty, after max(table[2..n]) + 1
-    steps."""
+    Each symbol's positions are listed first.  A symbol's int, with a bit
+    for each position that holds it, is built the first time a step reads
+    a letter holding it; symbols stay dict keys, so any hashable rank is
+    safe.  The mask of a letter, the positions whose letters match it, is
+    the OR of its symbols' ints.  Ints and masks are cached until they
+    hold _CACHE_BITS bits per position and per symbol occurrence; after
+    that, a letter's uncached symbols share one row for its mask, built
+    for the step that reads it.
+
+    live holds the shifts i whose match has survived steps 0..j-1; step j
+    keeps those where sets[i + j] matches sets[j], and every shift it drops
+    gets entry j.  Once fewer than n / _FEW_LIVE shifts are live, the scan
+    finishes each from i + j."""
     n = len(sets)
     if n == 0:
         return
-    # positions first, then one row at a time: never sigma rows of n bytes
-    where = defaultdict(list)
+    where = defaultdict(list)  # the positions of each symbol
     for k, a in enumerate(sets):
         for s in a:
             where[s].append(k)
+    room = _CACHE_BITS * (n + sum(map(len, where.values())))
     bits = {}
-    for s, ks in where.items():
-        row = bytearray(b"0") * (ks[-1] + 1)
-        for k in ks:
-            row[k] = 49  # ord("1")
-        bits[s] = int(row[::-1], 2)
     masks = {}
     table = [0] * n
     table[0] = n
     live = (1 << n) - 2  # the shifts 1..n-1
     j = 0
-    while live:
+    while live.bit_count() * _FEW_LIVE >= n:
         a = sets[j]
         m = masks.get(a)
         if m is None:
             m = 0
+            rest = []  # positions of the symbols with no cached int
             for s in a:
-                m |= bits[s]
-            masks[a] = m
+                try:
+                    m |= bits[s]
+                except KeyError:
+                    ks = where[s]
+                    if room > 0:
+                        bits[s] = b = _positions_int(ks, ks[-1] + 1)
+                        room -= b.bit_length()
+                        m |= b
+                    else:
+                        rest += ks
+            if rest:
+                m |= _positions_int(rest, max(rest) + 1)
+            if room > 0:
+                masks[a] = m
+                room -= m.bit_length()
         kept = live & (m >> j)
-        dead = bin(live ^ kept)  # bit i is character top - i
-        top = len(dead) - 1
-        i = dead.find("1", 2)
-        while i >= 0:
-            table[top - i] = j
-            i = dead.find("1", i + 1)
+        if kept != live:
+            for i in _bit_indices(live ^ kept):
+                table[i] = j
         live = kept
         j += 1
+    for i in _bit_indices(live):  # the few shifts left match sets[:j]
+        k = i + j
+        while k < n and not sets[k - i].isdisjoint(sets[k]):
+            k += 1
+        table[i] = k - i
     yield from table
 
 

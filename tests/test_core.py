@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -363,9 +364,9 @@ class TestComputePrefixTable:
 
 class TestShiftAnd:
     # The Shift-And exit against the scan oracle, called directly: verify
-    # sends no string with n <= 8 there with its own table, whose
-    # sum(table[2..n]) is at most n(n-1)/2, so the exhaustive dispatch
-    # tests cannot reach it.
+    # sends a string there only when more than half of its probed claims
+    # exceed 4, which no feasible table with n <= 9 has, so the exhaustive
+    # dispatch tests cannot reach it.
 
     def test_exhaustive(self):
         # all 137,257 strings over the seven letters of {a, b, c}, n <= 6
@@ -373,9 +374,33 @@ class TestShiftAnd:
             for x in itertools.product(subset_letters(3), repeat=n):
                 assert shift_and_table(x) == scan_table(x), x
 
-    @given(st.one_of(indet_strings(max_n=40, max_sigma=3), indet_strings(max_n=12)))
-    def test_agrees_with_scan(self, x):
-        assert shift_and_table(x) == scan_table(x)
+    @given(
+        st.one_of(indet_strings(max_n=40, max_sigma=3), indet_strings(max_n=12)),
+        st.sampled_from([1, 2, 4, core._FEW_LIVE]),
+        st.sampled_from([0, 1, core._CACHE_BITS]),
+    )
+    def test_agrees_with_scan(self, x, few_live, cache_bits):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_FEW_LIVE", few_live)
+            mp.setattr(core, "_CACHE_BITS", cache_bits)
+            assert shift_and_table(x) == scan_table(x)
+
+    @pytest.mark.parametrize("few_live, cache_bits", [(1, 64), (2, 0), (4, 1)])
+    def test_scan_tail_and_full_cache(self, monkeypatch, few_live, cache_bits):
+        # the scan finishes the live shifts from the start (few_live = 1)
+        # or part way, and the cache of ints is full from the start
+        # (cache_bits = 0) or part way; every string over the seven letters
+        # of {a, b, c} with n <= 5, then huge ranks and empty letters
+        monkeypatch.setattr(core, "_FEW_LIVE", few_live)
+        monkeypatch.setattr(core, "_CACHE_BITS", cache_bits)
+        for n in range(6):
+            for x in itertools.product(subset_letters(3), repeat=n):
+                assert shift_and_table(x) == scan_table(x), x
+            for x in itertools.product([(), (1,), (2,), (1, 2)], repeat=n):
+                assert shift_and_table(x) == scan_table(x), x
+        big = 10**30
+        x = s(f"{{a,{big}}} {big} {{{big},{big + 1}}} {big + 1} {{a,{big + 1}}} {big}")
+        assert shift_and_table(x) == (6, 4, 1, 0, 2, 1)
 
     def test_huge_ranks(self):
         # symbols are dict keys, never bit positions
@@ -397,12 +422,50 @@ class TestShiftAnd:
             assert taken.pop() == "_shift_and_entries"
             assert compute_prefix_table(x) == y
             assert taken.pop() == "_scan_entries"
-        # entries averaging below 4: the scan
+        # at most half the entries above 4: the scan
         x = s("{a,b} a b a {a,b} c a b {a,b} a b c a a b c")
         y = scan_table(x)
-        assert sum(y[1:]) < 4 * (len(y) - 1)
+        assert 2 * sum(v > 4 for v in y[1:]) <= len(y) - 1
         assert verify_prefix_table(x, y)
         assert taken == ["_scan_entries"]
+
+    def test_one_long_claim_keeps_the_scan(self, monkeypatch):
+        # the chain {1,2} {2,3} ... {n,n+1}: entry 2 is n - 1 and every
+        # later entry 0, so its probe averages above 4, but Shift-And would
+        # take n steps for a table the scan checks in 2n tests
+        taken = record_paths(monkeypatch)
+        n = 5000
+        x = tuple((k, k + 1) for k in range(1, n + 1))
+        y = (n, n - 1) + (0,) * (n - 2)
+        assert sum(y[1 :: (n + 62) // 64]) > 4 * 64
+        assert verify_prefix_table(x, y)
+        assert verify_prefix_table(x, (*y[:-1], 1)) == TableCheck(False, n, "a")
+        assert taken == ["_scan_entries", "_scan_entries"]
+
+    @pytest.mark.parametrize("kind", ["symbol-per-position", "wrong-claims"])
+    def test_memory_grows_linearly(self, monkeypatch, kind):
+        # through Shift-And: {a, k} for k = 2..n+1, with n + 1 symbols and
+        # every entry maximal, and the chain {k, k+1} with every claim 10.
+        # Doubling n about doubles the tracemalloc peak, where an int for
+        # every symbol or a mask for every letter would about quadruple it
+        taken = record_paths(monkeypatch)
+
+        def peak(n):
+            if kind == "symbol-per-position":
+                x = tuple((1, k) for k in range(2, n + 2))
+                y, check = tuple(range(n, 0, -1)), TableCheck(True)
+            else:
+                x = tuple((k, k + 1) for k in range(1, n + 1))
+                y, check = (n,) + (10,) * (n - 1), TableCheck(False, 2, "b")
+            tracemalloc.start()
+            try:
+                assert verify_prefix_table(x, y) == check
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4000) < 2.4 * peak(2000)
+        assert set(taken) == {"_shift_and_entries"}
 
     def test_one_off_claims_on_long_matches(self, monkeypatch):
         # each claim one above and each positive claim one below, at 20
@@ -419,7 +482,7 @@ class TestShiftAnd:
         assert set(taken) == {"_shift_and_entries"}
 
     def test_probe_never_raises_where_a_claim_fails_first(self, monkeypatch):
-        # a claim that is not an int counts as 0 in the probe, so the
+        # a claim that is not an int counts as short in the probe, so the
         # verdict is still the first failing position, whatever the exit
         taken = record_paths(monkeypatch)
         x, y = next(long_match_strings())
