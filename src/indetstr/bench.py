@@ -11,30 +11,53 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 import time
-from dataclasses import dataclass
 
 from .core import compute_prefix_table
-from .graph import _negative_levels
+from .graph import _negative_levels, _read_only
 from .inference import infer
 
 CSV_HEADER = "n,trials,mean_us,median_us,max_us,mean_sigma,mean_pos_edges,mean_neg_edges"
 
 
-@dataclass(frozen=True)
 class BenchConfig:
-    lengths: tuple[int, ...]  # strictly ascending
-    trials: int
-    seed: int = 0
+    """The lengths, trials per length and seed of one bench run.
 
-    def __post_init__(self):
-        if not self.lengths or any(n < 1 for n in self.lengths):
+    Raises ValueError at construction unless lengths is nonempty and
+    strictly ascending with every n >= 1 and trials >= 1.  A config is
+    immutable: setting or deleting any attribute raises AttributeError.
+    Two configs are equal, and hash alike, when all three fields are; the
+    repr is BenchConfig(lengths=(4, 6, 9), trials=3, seed=5).
+    """
+
+    __match_args__ = ("lengths", "trials", "seed")
+    __setattr__ = __delattr__ = _read_only
+    lengths: tuple[int, ...]
+    trials: int
+    seed: int
+
+    def __init__(self, lengths: tuple[int, ...], trials: int, seed: int = 0) -> None:
+        if not lengths or any(n < 1 for n in lengths):
             raise ValueError("lengths must be nonempty with every n >= 1")
-        if any(a >= b for a, b in zip(self.lengths, self.lengths[1:])):
+        if any(a >= b for a, b in zip(lengths, lengths[1:])):
             raise ValueError("lengths must be strictly ascending")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("trials must be >= 1")
+        self.__dict__.update(lengths=lengths, trials=trials, seed=seed)
+
+    def _fields(self) -> tuple[tuple[int, ...], int, int]:
+        return self.lengths, self.trials, self.seed
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"BenchConfig(lengths={self.lengths!r}, trials={self.trials!r}, seed={self.seed!r})"
 
 
 def gen_random_feasible(n: int, rng: random.Random) -> tuple[int, ...]:
@@ -51,6 +74,8 @@ def _stream(seed: int, n: int) -> random.Random:
 
 def run_bench(cfg: BenchConfig) -> str:
     """Run the timing experiment and return the CSV report."""
+    import statistics  # off the CLI's import path: only bench runs use it
+
     rows = [CSV_HEADER]
     for n in cfg.lengths:
         rng = _stream(cfg.seed, n)
@@ -90,6 +115,8 @@ def growth_trend(report: str) -> float:
 
     Needs at least three rows with distinct n.
     """
+    import statistics
+
     lines = [ln for ln in report.strip().splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("report does not start with the expected CSV header")

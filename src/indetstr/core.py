@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 Symbol = int
 Letter = tuple[Symbol, ...]
@@ -296,9 +295,13 @@ def compute_prefix_table(x: Iterable[Letter]) -> FeasibleArray:
     return tuple(_prefix_entries(tuple(x)))
 
 
-@dataclass(frozen=True)
-class TableCheck:
-    """Outcome of the two-condition prefix-table verification."""
+class TableCheck(NamedTuple):
+    """Outcome of the two-condition prefix-table verification.
+
+    A named tuple: its fields are read-only, two checks are equal, and hash
+    alike, when their fields are, and the repr names every field, as in
+    TableCheck(ok=False, position=4, condition='a').  Its truth is ok.
+    """
 
     ok: bool
     position: int | None = None  # 1-based first failing position

@@ -26,7 +26,6 @@ each raises FeasibleArrayError for an infeasible array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -81,7 +80,12 @@ def _level_lines(
         yield hs + (tail + sep + hs).join(map(names.__getitem__, vs)) + tail
 
 
-@dataclass(frozen=True)
+def _read_only(self, name: str, *value: object) -> None:
+    """__setattr__ and __delattr__ of the immutable PrefixGraph and
+    BenchConfig: every field is set once, in __init__, through __dict__."""
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+
 class PrefixGraph:
     """Vertices 1..n of the feasible array y, the one stored field.
 
@@ -101,9 +105,30 @@ class PrefixGraph:
     The export reads no view: it renders the levels of either sign,
     _positive_levels and _negative_levels, through _level_lines and one
     table of vertex names.  edge_label_string reads the positive levels.
+
+    A graph is immutable: setting or deleting any attribute raises
+    AttributeError, and a view is cached in the instance __dict__ past
+    that check.  Two graphs are equal, and hash alike, when their arrays
+    are; the views play no part.  The repr is PrefixGraph(y=(3, 0, 0)).
     """
 
+    __match_args__ = ("y",)
+    __setattr__ = __delattr__ = _read_only
     y: FeasibleArray
+
+    def __init__(self, y: FeasibleArray) -> None:
+        self.__dict__["y"] = y
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.y == other.y
+
+    def __hash__(self) -> int:
+        return hash((self.y,))
+
+    def __repr__(self) -> str:
+        return f"PrefixGraph(y={self.y!r})"
 
     @property
     def n(self) -> int:

@@ -308,6 +308,24 @@ class TestUsage:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "a b a {a,b} c\n", "")
 
+    def test_import_path_stays_lean(self):
+        # -S: site preloads nothing, so the modules listed are the CLI's own
+        child = (
+            "import contextlib, io, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import indetstr.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = indetstr.cli.main(['infer', '1'])\n"
+            "assert (code, out.getvalue()) == (0, 'a\\n')\n"
+            "print(*sorted({'dataclasses', 'inspect', 'statistics'} & sys.modules.keys()))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", child, src],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+
 
 def test_round_trip_through_text(capsys):
     assert run("infer", "8 2 0 1 4 0 1 1") == 0
