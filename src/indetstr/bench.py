@@ -45,16 +45,16 @@ class BenchConfig:
             raise ValueError("trials must be >= 1")
         self.__dict__.update(lengths=lengths, trials=trials, seed=seed)
 
-    def _fields(self) -> tuple[tuple[int, ...], int, int]:
+    def _key(self) -> tuple[tuple[int, ...], int, int]:
         return self.lengths, self.trials, self.seed
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"BenchConfig(lengths={self.lengths!r}, trials={self.trials!r}, seed={self.seed!r})"

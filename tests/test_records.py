@@ -27,6 +27,7 @@ class TestTableCheck:
         _assert_equal_records(c, TableCheck(False, 2, "b"))
         assert TableCheck(ok=True).position is None
         assert TableCheck(True).condition is None
+        assert TableCheck.__match_args__ == ("ok", "position", "condition")
 
     def test_equality_and_hash(self):
         _assert_equal_records(TableCheck(False, 4, "a"), TableCheck(False, 4, "a"))
@@ -63,6 +64,7 @@ class TestPrefixGraph:
         _assert_equal_records(PrefixGraph(y=(3, 0, 0)), PrefixGraph((3, 0, 0)))
         with pytest.raises(TypeError):
             PrefixGraph()
+        assert PrefixGraph.__match_args__ == ("y",)
 
     def test_equality_and_hash(self):
         a, b = PrefixGraph((5, 0, 2, 1, 0)), build_prefix_graph((5, 0, 2, 1, 0))
@@ -110,6 +112,7 @@ class TestBenchConfig:
         cfg = BenchConfig(trials=2, lengths=(5, 8))
         assert (cfg.lengths, cfg.trials, cfg.seed) == ((5, 8), 2, 0)
         _assert_equal_records(cfg, BenchConfig((5, 8), 2, 0))
+        assert BenchConfig.__match_args__ == ("lengths", "trials", "seed")
 
     def test_equality_and_hash(self):
         base = BenchConfig((5, 8), 2, 1)
