@@ -58,15 +58,22 @@ def _negative_levels(y: FeasibleArray) -> list[Level]:
 
     One pass over y files each v under its u; for a fixed u, v = i+u-1
     grows with i, so each vs ascends and only the at most n distinct u are
-    sorted, never the edges.  Every reader of G- reads it in this order:
-    neg_edges, neg_adj, the export, the regular witness and bench.
+    sorted, never the edges.  A zero entry i always gives the edge (1, i),
+    since i <= n, so it is appended to level 1 without a lookup; on a
+    random string most entries are zero.  Every reader of G- reads it in
+    this order: neg_edges, neg_adj, the export, the regular witness and
+    bench.
     """
     n = len(y)
+    zeros: list[int] = []
     by_u: dict[int, list[int]] = {}
     for i, v in enumerate(y, 1):
-        if i + v <= n:
+        if not v:
+            zeros.append(i)
+        elif i + v <= n:
             by_u.setdefault(v + 1, []).append(i + v)
-    return sorted(by_u.items())
+    levels = sorted(by_u.items())
+    return [(1, zeros), *levels] if zeros else levels
 
 
 def _level_lines(
@@ -95,8 +102,9 @@ class PrefixGraph:
       the levels of _negative_levels concatenated, with no sort.  Nothing
       in the library reads it; it serves callers that want the negative
       edges as tuples.
-    - neg_adj, each vertex's negative neighbours, ascending, read off
-      _negative_levels with no sort.  Only the walk reads it.
+    - neg_adj, each vertex's negative neighbours, ascending, with vertex 1
+      kept apart: row 1 is level 1 of _negative_levels, the zero entries,
+      and no other row lists vertex 1.  Only the walk reads it.
     - pos_edges, the up to n(n-1)/2 positive edges (u, v), u < v, ascending.
       Only the walk reads it.
     - regular_labels, the O(n) regularity verdict (_regular_labels).
@@ -142,20 +150,30 @@ class PrefixGraph:
     def neg_adj(self) -> tuple[tuple[int, ...], ...]:
         """Negative neighbours of each vertex, ascending; index 0 unused.
 
-        Read off _negative_levels, with no sort.  Levels ascend by u, so
-        when level u is read, every smaller neighbour of u has already been
-        appended to row u by an earlier level, in ascending order; the
-        level's own vs, ascending too, are u's larger neighbours, and no
-        later level touches row u.  A row with no smaller neighbour, such
-        as vertex 1's, is its level list itself, not a copy.
+        Vertex 1 is kept apart: row 1 is level 1, the zero entries, and no
+        other row lists 1, so a zero entry with no other neighbour has the
+        shared empty row ().  The walk adds 1 back where it needs it.
+
+        Read off _negative_levels, with no sort.  A level's vs wait in a
+        dict under v, as v's smaller neighbours, until v's own level is
+        read.  Levels ascend by u, so by then every smaller neighbour of u
+        has been filed, in ascending order; the level's own vs, ascending
+        too, are u's larger neighbours.  Most vertices have few smaller
+        neighbours, so each waits in a tuple grown by one per neighbour.
+        That costs O(n + |E+|): the k entries i that give v a smaller
+        neighbour u > 1 have the distinct y[i] = v-i >= 1, so the k(k+1)/2
+        copies are at most the sum of those y[i].
         """
-        adj: list[list[int]] = [[] for _ in range(self.n + 1)]
+        adj: list[tuple[int, ...]] = [()] * (self.n + 1)
+        smaller: dict[int, tuple[int, ...]] = {}
         for u, vs in _negative_levels(self.y):
-            for v in vs:
-                adj[v].append(u)
-            # u's smaller neighbours, all filed at earlier levels, then its level
-            adj[u] = adj[u] + vs if adj[u] else vs
-        return tuple(map(tuple, adj))
+            adj[u] = smaller.pop(u, ()) + tuple(vs)
+            if u > 1:
+                for v in vs:
+                    smaller[v] = smaller.get(v, ()) + (u,)
+        for v, row in smaller.items():
+            adj[v] = row
+        return tuple(adj)
 
     @cached_property
     def pos_edges(self) -> tuple[Edge, ...]:

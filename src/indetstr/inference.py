@@ -6,6 +6,18 @@ ban[p] is the OR of the letters of p's negative neighbours: every symbol
 that lands at a position is banned at once at each of its negative
 neighbours, which keeps all forced mismatches intact.
 
+Vertex 1 is the one exception, and ban[1] stays 0.  Its negative
+neighbours are the zero entries of the array, most positions of a random
+string, and PrefixGraph.neg_adj lists 1 in no row but its own, so a symbol
+put at a zero entry is not banned at 1.  ban[1] is read only where no zero
+entry holds a symbol, so 0 is the true OR there: at the positive edges
+(1, j), which come first and whose j are nonzero entries, and when vertex 1
+is filled, which happens only when there is no positive edge.  The
+completion pass skips vertex 1, since its letter is already a, b, ..., k:
+at each edge (1, j) the letter of j is still empty and every symbol so far
+is at 1, so the edge either gives j a symbol of 1 or opens the next fresh
+symbol at both, and no later edge reaches 1.
+
 The positive edges of the prefix graph are walked in ascending order.  At
 each edge the two endpoint letters must come to share a symbol: if they
 already do the edge is skipped; otherwise the candidate symbols (those
@@ -76,9 +88,11 @@ def _name(bit: int) -> str:
 
 def _walk(g: PrefixGraph, trace: Trace | None) -> IndetString:
     """The walk of the module docstring over g, logging to trace if given."""
-    neg_adj = g.neg_adj
+    y, neg_adj = g.y, g.neg_adj
     letters = [0] * (g.n + 1)  # index 0 unused
-    ban = [0] * (g.n + 1)  # ban[p] == OR of letters[q], q a negative neighbour
+    # ban[p] == OR of letters[q], q a negative neighbour, but ban[1] stays 0
+    # (see the module docstring)
+    ban = [0] * (g.n + 1)
 
     def put(p: int, bits: int) -> None:
         letters[p] |= bits
@@ -86,8 +100,10 @@ def _walk(g: PrefixGraph, trace: Trace | None) -> IndetString:
             ban[q] |= bits
 
     def forbid_line(p: int, bit: int) -> None:
-        if neg_adj[p]:
-            trace.append(f"forbid {_name(bit)} at {','.join(map(str, neg_adj[p]))}")
+        # a zero entry's row leaves out its neighbour 1; y[0] = n is not zero
+        row = neg_adj[p] if y[p - 1] else (1, *neg_adj[p])
+        if row:
+            trace.append(f"forbid {_name(bit)} at {','.join(map(str, row))}")
 
     def accept(p: int, bit: int) -> None:
         put(p, bit)
@@ -136,8 +152,9 @@ def _walk(g: PrefixGraph, trace: Trace | None) -> IndetString:
             if trace is not None:
                 trace.append(f"fill {_name(bit)} at {p}")
     # complete each letter in the letter order: any symbol below its largest
-    # one makes it smaller, so add every such symbol that is not banned
-    for p in range(1, g.n + 1):
+    # one makes it smaller, so add every such symbol that is not banned;
+    # letter 1 lacks none
+    for p in range(2, g.n + 1):
         lp = letters[p]
         add = ((1 << (lp.bit_length() - 1)) - 2) & ~lp & ~ban[p]
         if add:

@@ -21,6 +21,7 @@ from indetstr import (
     enumerate_feasible,
     export_graph,
     infer,
+    infer_with_trace,
     is_regular,
     isolated_positive_vertices,
     positive_components,
@@ -37,14 +38,61 @@ from indetstr.graph import (
 )
 
 
+def _levels_by_definition(y):
+    """Oracle: the negative edges (1+y[i], i+y[i]) over the i with
+    i+y[i] <= n, grouped by u ascending, each group's v ascending."""
+    n = len(y)
+    edges = sorted((1 + y[i - 1], i + y[i - 1]) for i in range(1, n + 1) if i + y[i - 1] <= n)
+    return [(u, [v for _, v in group]) for u, group in itertools.groupby(edges, lambda e: e[0])]
+
+
+def _full_rows(y):
+    """Oracle: every vertex's negative neighbours, ascending, vertex 1
+    included, with each edge (1+y[i], i+y[i]) filed under both ends."""
+    rows: list[list[int]] = [[] for _ in range(len(y) + 1)]
+    for u, vs in _levels_by_definition(y):
+        for v in vs:
+            rows[u].append(v)
+            rows[v].append(u)
+    return [sorted(row) for row in rows]
+
+
 def _check_neg_adj(g):
-    """g.neg_adj against rows built in one pass over g.neg_edges, each
-    edge filed under both ends, and then sorted."""
-    rows: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for u, v in g.neg_edges:
-        rows[u].append(v)
-        rows[v].append(u)
-    assert g.neg_adj == tuple(tuple(sorted(row)) for row in rows), g.y
+    """g.neg_adj against its contract, from the definition and not from
+    g.neg_edges: row 1 is the zero entries, no other row holds 1, and every
+    row, with 1 put in front at a zero entry, is the full ascending row; a
+    row with nothing else in it is the shared ()."""
+    y, adj = g.y, g.neg_adj
+    full = _full_rows(y)
+    assert len(adj) == g.n + 1 and adj[0] == (), y
+    if g.n:
+        zeros = [i for i in range(2, g.n + 1) if not y[i - 1]]
+        assert adj[1] == tuple(zeros) == tuple(full[1]), y
+    for p in range(2, g.n + 1):
+        assert 1 not in adj[p], (y, p)
+        assert (1,)[: not y[p - 1]] + adj[p] == tuple(full[p]), (y, p)
+
+
+def _check_forbid_lines(y):
+    """Check that each forbid line of y's trace, and only those, lists the
+    full row of a position named by the accept or new line it follows, in
+    order; return how many lines name a zero entry."""
+    full = _full_rows(y)
+    expected: list[str] = []
+    zero_entries = 0
+    for line in infer_with_trace(y)[1]:
+        if line.startswith("forbid "):
+            assert expected and line == expected.pop(0), (y, line)
+            continue
+        assert not expected, (y, line)
+        if line.startswith(("accept ", "new ")):
+            _, sym, _, at = line.split()
+            for p in map(int, at.split(",")):
+                if full[p]:
+                    expected.append(f"forbid {sym} at {','.join(map(str, full[p]))}")
+                    zero_entries += p > 1 and not y[p - 1]
+    assert not expected, y
+    return zero_entries
 
 
 class TestBuildPrefixGraph:
@@ -88,12 +136,15 @@ class TestBuildPrefixGraph:
         assert (g.pos_edges, g.neg_edges) == ((), ())
 
     def test_neg_adjacency_mirrors_edges(self):
+        # full rows (2,5) (1,5) (5,) () (1,2,3); vertex 1 is kept apart, so
+        # the zero entries 2 and 5 store theirs without it
         g = build_prefix_graph((5, 0, 2, 1, 0))
-        assert g.neg_adj[1] == (2, 5)
-        assert g.neg_adj[2] == (1, 5)
-        assert g.neg_adj[3] == (5,)
-        assert g.neg_adj[4] == ()
-        assert g.neg_adj[5] == (1, 2, 3)
+        assert g.neg_adj == ((), (2, 5), (5,), (5,), (), (2, 3))
+        _check_neg_adj(g)
+        # a zero entry with no other neighbour has the shared empty row
+        g = build_prefix_graph((4, 0, 0, 0))
+        assert g.neg_adj == ((), (2, 3, 4), (), (), ())
+        _check_neg_adj(g)
 
     def test_edge_counts_exhaustive(self):
         for n in range(7):
@@ -116,7 +167,7 @@ class TestBuildPrefixGraph:
 
     def test_neg_adjacency_sorted_exhaustive(self):
         # the rows are read off the negative levels and never sorted; each
-        # must be the sorted row that the edge list gives
+        # must be the sorted row of the definition, vertex 1 kept apart
         for n in range(8):
             for y in enumerate_feasible(n):
                 _check_neg_adj(build_prefix_graph(y))
@@ -126,6 +177,35 @@ class TestBuildPrefixGraph:
         # array has rows that mix smaller and larger neighbours
         for y in _workload_shape_arrays():
             _check_neg_adj(build_prefix_graph(y))
+        # every entry i >= 2 but the last gives vertex n the smaller
+        # neighbour n+1-i, so its row grows one neighbour at a time
+        n = 300
+        y = (n, *range(n - 2, -1, -1))
+        assert len(build_prefix_graph(y).neg_adj[n]) == n - 2
+        _check_neg_adj(build_prefix_graph(y))
+        # on the random string most zero entries have no neighbour but 1
+        y = _workload_shape_arrays()[0]
+        adj = build_prefix_graph(y).neg_adj
+        zeros = [p for p in range(2, len(y) + 1) if not y[p - 1]]
+        assert 2 * sum(adj[p] == () for p in zeros) > len(zeros)
+
+    def test_negative_levels_by_definition(self):
+        for n in range(9):
+            for y in enumerate_feasible(n):
+                assert _negative_levels(y) == _levels_by_definition(y), y
+        for y in _workload_shape_arrays():
+            assert _negative_levels(y) == _levels_by_definition(y)
+
+    def test_trace_forbid_rows_by_definition(self):
+        # a forbid line lists the full neighbourhood, 1 included, of a
+        # position that the accept or new line before it names; the walk
+        # puts the 1 back at the zero entries
+        checked = 0
+        for n in range(8):
+            for y in enumerate_feasible(n):
+                checked += _check_forbid_lines(y)
+        assert checked > 1000
+        assert _check_forbid_lines(_workload_shape_arrays()[0]) > 100
 
     @given(feasible_arrays(min_n=1))
     def test_edge_properties(self, y):
@@ -363,7 +443,8 @@ class TestEdgeFreePaths:
     @pytest.mark.usefixtures("no_neg_edges")
     def test_walk_reads_no_negative_edge_list(self):
         g = build_prefix_graph((5, 0, 2, 1, 0))
-        assert g.neg_adj == ((), (2, 5), (1, 5), (5,), (), (1, 2, 3))
+        assert g.neg_adj == ((), (2, 5), (5,), (5,), (), (2, 3))
+        _check_neg_adj(g)
         assert infer((5, 0, 2, 1, 0)) == s("a b a {a,b} c")
 
     @pytest.mark.usefixtures("no_pos_edges", "no_neg_edges")

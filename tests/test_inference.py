@@ -243,6 +243,17 @@ class TestAlphabet:
         assert "accept b at 3" in trace and "accept b at 5" in trace
         assert not any(line.startswith("new c") for line in trace)
 
+    def test_first_letter_is_an_alphabet_prefix(self):
+        # the completion pass skips vertex 1, whose ban leaves out the zero
+        # entries' letters; that rests on letter 1 being a, b, ..., k by then
+        rng = random.Random(21)
+        arrays = [y for n in range(1, 8) for y in enumerate_feasible(n)]
+        arrays += [gen_random_feasible(n, rng) for n in (50, 200, 400)]
+        arrays.append(word_table([rng.randrange(4) for _ in range(2000)]))
+        for y in arrays:
+            first = infer_with_trace(y)[0][0]
+            assert first == tuple(range(1, len(first) + 1)), y
+
     def test_letters_completed_in_letter_order(self):
         # position 5 of 5 2 3 0 0 gains b below its c: {b,c} < {c}
         y = (5, 2, 3, 0, 0)
