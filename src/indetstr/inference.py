@@ -15,8 +15,9 @@ entry holds a symbol, so 0 is the true OR there: at the positive edges
 is filled, which happens only when there is no positive edge.  The
 completion pass skips vertex 1, since its letter is already a, b, ..., k:
 at each edge (1, j) the letter of j is still empty and every symbol so far
-is at 1, so the edge either gives j a symbol of 1 or opens the next fresh
-symbol at both, and no later edge reaches 1.
+is at 1, so the edge either gives j a symbol of 1 or, with all of them
+banned at j, has none to reuse and opens the next fresh symbol at both;
+no later edge reaches 1.
 
 The positive edges of the prefix graph are walked in ascending order.  At
 each edge the two endpoint letters must come to share a symbol: if they
