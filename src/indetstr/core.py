@@ -12,7 +12,8 @@ first, otherwise the smaller symbol at the first difference decides, so
 {a,b,w,x,y,z} precedes {a,c}.  Strings, as tuples of letters, are ordered
 the same way.  Matching is a set intersection test.  _prefix_entries states
 once which letters the prefix table takes and which of its three exits
-computes it.
+computes it, a choice read off the letters alone, so computing a table and
+verifying one take the same exit.
 
 External indexing is 1-based everywhere (reports, diagnostics, exports);
 internally plain 0-based sequences are used.
@@ -106,7 +107,7 @@ _FEW_LIVE = 32
 _CACHE_BITS = 64
 
 
-def _prefix_entries(x: Sequence[Letter], y: Sequence = ()) -> Iterator[int]:
+def _prefix_entries(x: Sequence[Letter]) -> Iterator[int]:
     """The prefix table of x entry by entry: the one source of
     compute_prefix_table and verify_prefix_table, and the one statement of
     their letter contract and dispatch.
@@ -114,27 +115,30 @@ def _prefix_entries(x: Sequence[Letter], y: Sequence = ()) -> Iterator[int]:
     A letter is a hashable tuple of symbols (Letter), as format_string
     requires too; an unhashable letter, such as a list, raises TypeError.
     Each distinct letter becomes one frozenset, shared by all its positions.
-    The dispatch reads each distinct letter once, while its set is built,
-    and chooses one of three exits up front:
+    The dispatch reads the letters alone, so both callers take the same
+    exit on the same x.  It tests the distinct letters for overlap while
+    their sets are built, and chooses one of three exits up front:
 
     - _z_entries, when these sets are nonempty and pairwise disjoint, as in
       every regular string: two letters match exactly when they share the
       set, and the Z-algorithm answers in O(n).
-    - _shift_and_entries, on any other x when y, a claimed table that only
-      verify_prefix_table passes, claims long matches: more than half of
-      the probe y[1::step], at most 64 evenly spaced claims, exceed
-      _LONG_CLAIM (a claim that is not an int counts as short), so one long
-      or wrong claim cannot tip it.  With N = sum(|x[k]|), it takes O(n + N)
-      memory and O(N) setup.  Each step costs O(n): ints of up to n bits
-      and, when shifts drop out, a bin() string of up to n characters.  A
-      step that reads a letter first also builds an int of up to n bits for
-      each of its symbols not yet cached, or, once the cache is full, one
-      row for all of them, O(n + N).  Steps run only while at least
-      n / _FEW_LIVE shifts are live, each a test the scan would make at
-      that step, so at most max(table[2..n]) + 1 run; the scan finishes
-      the shifts left.  It builds the whole table before the first entry.
-    - _scan_entries otherwise, compute_prefix_table always: a scan of
-      sum(table[2..n]) + n - 1 intersection tests in O(N) memory.
+    - _shift_and_entries, on any other x with long matches: of the at most
+      64 evenly spaced positions 2, 2 + step, ... (1-based), more than half
+      start a window whose first _LONG_CLAIM + 1 letters match those of x,
+      that is, an entry above _LONG_CLAIM (a window cut short by the end of
+      x counts as short).  The probe costs at most 64 * (_LONG_CLAIM + 1)
+      intersection tests, all made at C level, and one long entry cannot
+      tip it.  With N = sum(|x[k]|), Shift-And takes O(n + N) memory and
+      O(N) setup.  Each step costs O(n): ints of up to n bits and, when
+      shifts drop out, a bin() string of up to n characters.  A step that
+      reads a letter first also builds an int of up to n bits for each of
+      its symbols not yet cached, or, once the cache is full, one row for
+      all of them, O(n + N).  Steps run only while at least n / _FEW_LIVE
+      shifts are live, each a test the scan would make at that step, so at
+      most max(table[2..n]) + 1 run; the scan finishes the shifts left.  It
+      builds the whole table before the first entry.
+    - _scan_entries otherwise: a scan of sum(table[2..n]) + n - 1
+      intersection tests in O(N) memory.
     """
     union = set()
     overlap = False
@@ -150,8 +154,12 @@ def _prefix_entries(x: Sequence[Letter], y: Sequence = ()) -> Iterator[int]:
     sets = list(_map_once(share, x))
     if not overlap:
         return _z_entries(sets)
-    probe = y[1 :: (len(y) + 62) // 64 or 1]
-    if 2 * sum(isinstance(v, int) and v > _LONG_CLAIM for v in probe) > len(probe):
+    # misses holds, for each probed i, sets[h].isdisjoint(sets[i + h]) for
+    # h = 0.._LONG_CLAIM; zip stops at the last window x does not cut short
+    n, step = len(sets), (len(sets) + 62) // 64 or 1
+    heads = enumerate(sets[: _LONG_CLAIM + 1])
+    misses = zip(*(map(a.isdisjoint, sets[1 + h :: step]) for h, a in heads))
+    if 2 * list(map(any, misses)).count(False) > len(range(1, n, step)):
         return _shift_and_entries(sets)
     return _scan_entries(sets)
 
@@ -288,9 +296,9 @@ def compute_prefix_table(x: Iterable[Letter]) -> FeasibleArray:
     x[i..n] that matches a prefix of x.  Entry 1 is always n.
 
     _prefix_entries states which letters it takes and which exit, at what
-    cost, computes the table; with no claimed table to probe, overlapping
-    letters take the scan.  verify_prefix_table reports a claim longer
-    than this entry as condition (a) and a shorter one as condition (b).
+    cost, computes the table, chosen from the letters as for
+    verify_prefix_table.  verify_prefix_table reports a claim longer than
+    this entry as condition (a) and a shorter one as condition (b).
     """
     return tuple(_prefix_entries(tuple(x)))
 
@@ -321,7 +329,8 @@ def verify_prefix_table(x: Iterable[Letter], y: Sequence[int]) -> TableCheck:
     y[i] > pi[i] or y[i] < 0, and (b) exactly when 0 <= y[i] < pi[i].  So
     the first failing position is the first i with y[i] != pi[i], and the
     table is computed only up to it, by _prefix_entries, which states the
-    letters it takes, unless y's probe sends the string to Shift-And, which
+    letters it takes and chooses the exit from x alone, as for
+    compute_prefix_table; y never steers it.  Only the Shift-And exit
     builds the whole table first.
     """
     x = tuple(x)
@@ -330,8 +339,7 @@ def verify_prefix_table(x: Iterable[Letter], y: Sequence[int]) -> TableCheck:
         raise ValueError(
             f"length mismatch: string has {n} positions, array has {len(y)}"
         )
-    y = tuple(y)  # the probe slices it, which a deque cannot be
-    for i, (v, p) in enumerate(zip(y, _prefix_entries(x, y)), start=1):
+    for i, (v, p) in enumerate(zip(y, _prefix_entries(x)), start=1):
         if v != p:
             return TableCheck(False, i, "a" if v > p or v < 0 else "b")
     return TableCheck(True)

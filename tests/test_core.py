@@ -6,6 +6,7 @@ import collections
 import itertools
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -326,10 +327,12 @@ class TestComputePrefixTable:
         # all 19,608 strings over the seven letters of {a, b, c} with n <= 5,
         # through both paths: the table against the scan oracle, then each
         # entry one above (condition (a) there) and each positive entry one
-        # below (condition (b) there)
+        # below (condition (b) there).  The string alone chooses the exit:
+        # pt and every verify of one string take the same one
         taken = record_paths(monkeypatch)
         for n in range(6):
             for x in itertools.product(subset_letters(3), repeat=n):
+                start = len(taken)
                 table = scan_table(x)
                 assert compute_prefix_table(x) == table, x
                 assert verify_prefix_table(x, table), x
@@ -339,6 +342,7 @@ class TestComputePrefixTable:
                     if v:
                         down = table[:i] + (v - 1,) + table[i + 1 :]
                         assert verify_prefix_table(x, down) == TableCheck(False, i + 1, "b"), (x, down)
+                assert len(set(taken[start:])) == 1, x
         assert set(taken) == {"_scan_entries", "_z_entries"}
 
     def test_list_letters_raise(self):
@@ -363,10 +367,10 @@ class TestComputePrefixTable:
 
 
 class TestShiftAnd:
-    # The Shift-And exit against the scan oracle, called directly: verify
-    # sends a string there only when more than half of its probed claims
-    # exceed 4, which no feasible table with n <= 9 has, so the exhaustive
-    # dispatch tests cannot reach it.
+    # The Shift-And exit against the scan oracle, called directly: the
+    # dispatch sends a string there only when more than half of its probed
+    # positions start a match of more than 4 letters, which no string with
+    # n <= 9 has, so the exhaustive dispatch tests cannot reach it.
 
     def test_exhaustive(self):
         # all 137,257 strings over the seven letters of {a, b, c}, n <= 6
@@ -415,13 +419,13 @@ class TestShiftAnd:
                 assert shift_and_table(x) == scan_table(x), x
 
     def test_exits_on_long_matches(self, monkeypatch):
-        # verify reads the claimed table's probe; pt passes no claims
+        # the probe reads the string, so verify and pt both take Shift-And
         taken = record_paths(monkeypatch)
         for x, y in long_match_strings():
             assert verify_prefix_table(x, y)
             assert taken.pop() == "_shift_and_entries"
             assert compute_prefix_table(x) == y
-            assert taken.pop() == "_scan_entries"
+            assert taken.pop() == "_shift_and_entries"
         # at most half the entries above 4: the scan
         x = s("{a,b} a b a {a,b} c a b {a,b} a b c a a b c")
         y = scan_table(x)
@@ -431,8 +435,10 @@ class TestShiftAnd:
 
     def test_one_long_claim_keeps_the_scan(self, monkeypatch):
         # the chain {1,2} {2,3} ... {n,n+1}: entry 2 is n - 1 and every
-        # later entry 0, so its probe averages above 4, but Shift-And would
-        # take n steps for a table the scan checks in 2n tests
+        # later entry 0, so the probed entries average above 4, but only
+        # position 2 starts a long match and the majority keeps the scan,
+        # where Shift-And would take n steps for a table the scan checks in
+        # 2n tests
         taken = record_paths(monkeypatch)
         n = 5000
         x = tuple((k, k + 1) for k in range(1, n + 1))
@@ -442,24 +448,30 @@ class TestShiftAnd:
         assert verify_prefix_table(x, (*y[:-1], 1)) == TableCheck(False, n, "a")
         assert taken == ["_scan_entries", "_scan_entries"]
 
-    @pytest.mark.parametrize("kind", ["symbol-per-position", "wrong-claims"])
+    @pytest.mark.parametrize("kind", ["symbol-per-position", "chain", "pt"])
     def test_memory_grows_linearly(self, monkeypatch, kind):
-        # through Shift-And: {a, k} for k = 2..n+1, with n + 1 symbols and
-        # every entry maximal, and the chain {k, k+1} with every claim 10.
-        # Doubling n about doubles the tracemalloc peak, where an int for
-        # every symbol or a mask for every letter would about quadruple it
+        # through Shift-And: verify on {a, k} for k = 2..n+1, with n + 1
+        # symbols and every entry maximal; the exit alone on the chain
+        # {k, k+1}, n distinct letters whose dispatch keeps the scan; and
+        # pt on {a,b} {b,c} {a,b} ..., every entry maximal.  Doubling n
+        # about doubles the tracemalloc peak, where an int for every symbol
+        # or a mask for every letter would about quadruple it
         taken = record_paths(monkeypatch)
 
         def peak(n):
             if kind == "symbol-per-position":
                 x = tuple((1, k) for k in range(2, n + 2))
-                y, check = tuple(range(n, 0, -1)), TableCheck(True)
-            else:
+                run = partial(verify_prefix_table, x, tuple(range(n, 0, -1)))
+                want = TableCheck(True)
+            elif kind == "chain":
                 x = tuple((k, k + 1) for k in range(1, n + 1))
-                y, check = (n,) + (10,) * (n - 1), TableCheck(False, 2, "b")
+                run, want = partial(shift_and_table, x), (n, n - 1) + (0,) * (n - 2)
+            else:
+                x = ((1, 2), (2, 3)) * (n // 2)
+                run, want = partial(compute_prefix_table, x), tuple(range(n, 0, -1))
             tracemalloc.start()
             try:
-                assert verify_prefix_table(x, y) == check
+                assert run() == want
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -469,9 +481,12 @@ class TestShiftAnd:
 
     def test_one_off_claims_on_long_matches(self, monkeypatch):
         # each claim one above and each positive claim one below, at 20
-        # evenly spaced positions, through the Shift-And exit
+        # evenly spaced positions, through the Shift-And exit, which pt
+        # takes on the same string
         taken = record_paths(monkeypatch)
         for x, y in long_match_strings(range(200, 401, 100)):
+            start = len(taken)
+            assert compute_prefix_table(x) == y
             n = len(y)
             for i in range(1, n, n // 20):
                 for v in (y[i] + 1, y[i] - 1)[: 1 + (y[i] > 0)]:
@@ -479,11 +494,12 @@ class TestShiftAnd:
                     check = verify_prefix_table(x, claim)
                     assert check == two_condition_verify(x, claim), (n, i, v)
                     assert check == TableCheck(False, i + 1, "a" if v > y[i] else "b")
+            assert len(set(taken[start:])) == 1, n
         assert set(taken) == {"_shift_and_entries"}
 
     def test_probe_never_raises_where_a_claim_fails_first(self, monkeypatch):
-        # a claim that is not an int counts as short in the probe, so the
-        # verdict is still the first failing position, whatever the exit
+        # the exit is chosen from the string, so a claim that is not an int
+        # is never read before the first failing position, whatever the exit
         taken = record_paths(monkeypatch)
         x, y = next(long_match_strings())
         for bad in (None, "7", 2.5):
