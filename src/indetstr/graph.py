@@ -204,7 +204,8 @@ def positive_components(g: PrefixGraph) -> tuple[int, ...]:
 
     Indexed by vertex, so index 0 is unused (it stays 0).  Reads g.y, not
     g.pos_edges: a regular y takes the verdict's labels, g.regular_labels,
-    in O(n), any other y is labelled by _range_union in O(n log n).
+    in O(n), any other y is labelled by _range_union, in O(n log n) at
+    worst; the union stops at the first level that holds one class.
     """
     return g.regular_labels or _range_union(g.y)
 
@@ -219,7 +220,17 @@ def _range_union(y: FeasibleArray) -> tuple[int, ...]:
     range.  Level k keeps a union-find over block starts.  From the top
     level down, every block that stopped being a root at level k unions both
     of its halves with the halves of its root at level k-1; level 0 then
-    holds the components of positions.
+    holds the components of positions, and only its ex-roots, ascending,
+    need flattening: every other position is its own root.
+
+    The union stops at the first level k, from the top, whose blocks are
+    all in one class, and returns one component.  Level k covers the
+    n-2^k+1 blocks that fit in 1..n, and each successful union appends one
+    ex-root, so all are in one class exactly when moved[k] holds n-2^k.
+    Blocks s and s+1 being equal forces position p to equal p+1 for every
+    p in 1..n-1.  Every entry after the first is at most n-1, so 2^k <= n-1
+    and every level built has at least two blocks; n <= 1 builds no level
+    above 0.
     """
     n = len(y)
     levels = max(max(y[1:], default=0).bit_length(), 1)
@@ -247,6 +258,8 @@ def _range_union(y: FeasibleArray) -> tuple[int, ...]:
             if d:
                 union(parent[k], moved[k], 1 + d, i + d)
     for k in range(levels - 1, 0, -1):
+        if len(moved[k]) == n - (1 << k):
+            return (0,) + (1,) * n  # level k holds one class
         p, below, ex_roots = parent[k], parent[k - 1], moved[k - 1]
         half = 1 << (k - 1)
         for s in moved[k]:
@@ -256,8 +269,8 @@ def _range_union(y: FeasibleArray) -> tuple[int, ...]:
             union(below, ex_roots, s, r)
             union(below, ex_roots, s + half, r + half)
     labels = parent[0]
-    # labels[v] <= v, and every smaller entry already names its root
-    for v in range(1, n + 1):
+    # labels[v] < v, and every smaller ex-root already names its root
+    for v in sorted(moved[0]):
         labels[v] = labels[labels[v]]
     return tuple(labels)
 

@@ -178,6 +178,9 @@ class TestRegular:
     def test_not_regular(self, capsys):
         assert run("regular", "5 0 2 1 0") == 0
         assert capsys.readouterr().out == "indeterminate-only (components: 2)\n"
+        # level 1 of the range union holds one class, so it stops there
+        assert run("regular", "5 0 3 2 0") == 0
+        assert capsys.readouterr().out == "indeterminate-only (components: 1)\n"
 
     def test_infeasible(self, capsys):
         assert run("regular", "5 0 2 3 0") == 1

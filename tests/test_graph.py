@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -289,6 +291,57 @@ class TestRegularity:
         inside = _first_inside_by_scan(g, expected)
         assert is_regular(y) == (inside is None, expected)
         _check_witness(g, expected, inside)
+
+    def test_range_union_stops_at_one_class(self):
+        # on the table of a^n every level holds one class, so the union
+        # stops at the top level, where it has made at most 2n unions; all
+        # the levels below would make about 20n more at n = 4,096
+        n = 4096
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            code = frame.f_code
+            if event == "call" and code.co_name == "union" and code.co_filename == graph_module.__file__:
+                calls += 1
+
+        old = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            labels = _range_union(tuple(range(n, 0, -1)))
+        finally:
+            sys.setprofile(old)
+        assert labels == (0,) + (1,) * n
+        assert calls <= 2 * n
+
+    @pytest.mark.parametrize("shape", ["sparse", "uniform"])
+    def test_memory_grows_linearithmically(self, shape):
+        # is_regular on a non-regular array: the range union keeps a list
+        # of n+1 block starts per level, so doubling n from 2,000 to 4,000
+        # about doubles the tracemalloc peak, times 12/11 on uniform, whose
+        # longest entry adds a level.  The level where the union stops moves
+        # the ratio on uniform; an edge list, Θ(n²) there, would give about 4
+        rng = random.Random(f"is_regular:{shape}")
+
+        def peak(n):
+            if shape == "sparse":
+                # the benchmark's sparse shape: a random string over 4
+                # symbols, one letter in ten a two-symbol set
+                x = tuple(
+                    tuple(rng.sample((1, 2, 3, 4), 2)) if rng.random() < 0.1 else (rng.randint(1, 4),)
+                    for _ in range(n)
+                )
+                y = compute_prefix_table(x)
+            else:
+                y = gen_random_feasible(n, rng)
+            tracemalloc.start()
+            try:
+                assert not is_regular(y)[0]
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4000) < 3 * peak(2000)
 
 
 class TestRegularVerdict:
