@@ -293,9 +293,9 @@ class TestRegularity:
         _check_witness(g, expected, inside)
 
     def test_range_union_stops_at_one_class(self):
-        # on the table of a^n every level holds one class, so the union
-        # stops at the top level, where it has made at most 2n unions; all
-        # the levels below would make about 20n more at n = 4,096
+        # on the table of a^n the top level already holds one class, so the
+        # union stops there, after at most 2n unions; the levels below
+        # would make about 20n more at n = 4,096
         n = 4096
         calls = 0
 
