@@ -61,8 +61,8 @@ def _negative_levels(y: FeasibleArray) -> list[Level]:
     sorted, never the edges.  A zero entry i always gives the edge (1, i),
     since i <= n, so it is appended to level 1 without a lookup; on a
     random string most entries are zero.  Every reader of G- reads it in
-    this order: neg_edges, neg_adj, the export, the regular witness and
-    bench.
+    this order: neg_edges, the walk's rows, the export, the regular
+    witness and bench.
     """
     n = len(y)
     zeros: list[int] = []
@@ -96,15 +96,12 @@ def _read_only(self, name: str, *value: object) -> None:
 class PrefixGraph:
     """Vertices 1..n of the feasible array y, the one stored field.
 
-    Four views are read off y on first use and then cached, so only their
+    Three views are read off y on first use and then cached, so only their
     readers pay, and no view is built from another:
     - neg_edges, the at most n-1 negative edges (u, v), u < v, ascending:
       the levels of _negative_levels concatenated, with no sort.  Nothing
       in the library reads it; it serves callers that want the negative
       edges as tuples.
-    - neg_adj, each vertex's negative neighbours, ascending, with vertex 1
-      kept apart: row 1 is level 1 of _negative_levels, the zero entries,
-      and no other row lists vertex 1.  Only the walk reads it.
     - pos_edges, the up to n(n-1)/2 positive edges (u, v), u < v, ascending.
       Only the walk reads it.
     - regular_labels, the O(n) regularity verdict (_regular_labels).
@@ -112,7 +109,9 @@ class PrefixGraph:
       regular_string_from_components take regularity from it.
     The export reads no view: it renders the levels of either sign,
     _positive_levels and _negative_levels, through _level_lines and one
-    table of vertex names.  edge_label_string reads the positive levels.
+    table of vertex names.  edge_label_string reads the positive levels,
+    and the walk builds its own rows of negative neighbours from the
+    negative levels (inference._negative_rows).
 
     A graph is immutable: setting or deleting any attribute raises
     AttributeError, and a view is cached in the instance __dict__ past
@@ -145,35 +144,6 @@ class PrefixGraph:
     @cached_property
     def neg_edges(self) -> tuple[Edge, ...]:
         return tuple((u, v) for u, vs in _negative_levels(self.y) for v in vs)
-
-    @cached_property
-    def neg_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Negative neighbours of each vertex, ascending; index 0 unused.
-
-        Vertex 1 is kept apart: row 1 is level 1, the zero entries, and no
-        other row lists 1, so a zero entry with no other neighbour has the
-        shared empty row ().  The walk adds 1 back where it needs it.
-
-        Read off _negative_levels, with no sort.  A level's vs wait in a
-        dict under v, as v's smaller neighbours, until v's own level is
-        read.  Levels ascend by u, so by then every smaller neighbour of u
-        has been filed, in ascending order; the level's own vs, ascending
-        too, are u's larger neighbours.  Most vertices have few smaller
-        neighbours, so each waits in a tuple grown by one per neighbour.
-        That costs O(n + |E+|): the k entries i that give v a smaller
-        neighbour u > 1 have the distinct y[i] = v-i >= 1, so the k(k+1)/2
-        copies are at most the sum of those y[i].
-        """
-        adj: list[tuple[int, ...]] = [()] * (self.n + 1)
-        smaller: dict[int, tuple[int, ...]] = {}
-        for u, vs in _negative_levels(self.y):
-            adj[u] = smaller.pop(u, ()) + tuple(vs)
-            if u > 1:
-                for v in vs:
-                    smaller[v] = smaller.get(v, ()) + (u,)
-        for v, row in smaller.items():
-            adj[v] = row
-        return tuple(adj)
 
     @cached_property
     def pos_edges(self) -> tuple[Edge, ...]:

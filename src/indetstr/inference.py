@@ -8,16 +8,16 @@ neighbours, which keeps all forced mismatches intact.
 
 Vertex 1 is the one exception, and ban[1] stays 0.  Its negative
 neighbours are the zero entries of the array, most positions of a random
-string, and PrefixGraph.neg_adj lists 1 in no row but its own, so a symbol
-put at a zero entry is not banned at 1.  ban[1] is read only where no zero
-entry holds a symbol, so 0 is the true OR there: at the positive edges
-(1, j), which come first and whose j are nonzero entries, and when vertex 1
-is filled, which happens only when there is no positive edge.  The
-completion pass skips vertex 1, since its letter is already a, b, ..., k:
-at each edge (1, j) the letter of j is still empty and every symbol so far
-is at 1, so the edge either gives j a symbol of 1 or, with all of them
-banned at j, has none to reuse and opens the next fresh symbol at both;
-no later edge reaches 1.
+string, and the walk's rows (_negative_rows) list 1 in no row but its own,
+so a symbol put at a zero entry is not banned at 1.  ban[1] is read only
+where no zero entry holds a symbol, so 0 is the true OR there: at the
+positive edges (1, j), which come first and whose j are nonzero entries,
+and when vertex 1 is filled, which happens only when there is no positive
+edge.  The completion pass skips vertex 1, since its letter is already a,
+b, ..., k: at each edge (1, j) the letter of j is still empty and every
+symbol so far is at 1, so the edge either gives j a symbol of 1 or, with
+all of them banned at j, has none to reuse and opens the next fresh symbol
+at both; no later edge reaches 1.
 
 The positive edges of the prefix graph are walked in ascending order.  At
 each edge the two endpoint letters must come to share a symbol: if they
@@ -67,8 +67,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import IndetString, _map_once, render_symbol
-from .graph import PrefixGraph, build_prefix_graph, regular_string_from_components
+from .core import FeasibleArray, IndetString, _map_once, render_symbol
+from .graph import PrefixGraph, _negative_levels, build_prefix_graph, regular_string_from_components
 
 Trace = list[str]
 
@@ -87,9 +87,35 @@ def _name(bit: int) -> str:
     return render_symbol(bit.bit_length() - 1)
 
 
+def _negative_rows(y: FeasibleArray) -> list[tuple[int, ...]]:
+    """The walk's negative neighbours of each vertex, ascending; index 0
+    unused.  Row 1 is level 1 of _negative_levels, the zero entries, and no
+    other row lists 1 (see the module docstring), so a zero entry with no
+    other neighbour keeps the shared empty row ().
+
+    Read off _negative_levels, with no sort.  A row holds its vertex's
+    smaller neighbours until that vertex's own level is read, and the
+    level's vs, its larger neighbours, are then appended.  Levels ascend by
+    u, so every row comes out ascending.  An empty row plus (u,) is (u,)
+    itself, so the vertices whose only smaller neighbour is u share one
+    tuple.  That costs O(n + |E+|): each level copies its row once, and the
+    k entries i that give v a smaller neighbour u > 1 have the distinct
+    y[i] = v-i >= 1, so the k(k+1)/2 copies of v's row are at most the sum
+    of those y[i].
+    """
+    rows: list[tuple[int, ...]] = [()] * (len(y) + 1)
+    for u, vs in _negative_levels(y):
+        rows[u] += tuple(vs)
+        if u > 1:
+            mark = (u,)
+            for v in vs:
+                rows[v] += mark
+    return rows
+
+
 def _walk(g: PrefixGraph, trace: Trace | None) -> IndetString:
     """The walk of the module docstring over g, logging to trace if given."""
-    y, neg_adj = g.y, g.neg_adj
+    y, rows = g.y, _negative_rows(g.y)
     letters = [0] * (g.n + 1)  # index 0 unused
     # ban[p] == OR of letters[q], q a negative neighbour, but ban[1] stays 0
     # (see the module docstring)
@@ -97,12 +123,12 @@ def _walk(g: PrefixGraph, trace: Trace | None) -> IndetString:
 
     def put(p: int, bits: int) -> None:
         letters[p] |= bits
-        for q in neg_adj[p]:
+        for q in rows[p]:
             ban[q] |= bits
 
     def forbid_line(p: int, bit: int) -> None:
         # a zero entry's row leaves out its neighbour 1; y[0] = n is not zero
-        row = neg_adj[p] if y[p - 1] else (1, *neg_adj[p])
+        row = rows[p] if y[p - 1] else (1, *rows[p])
         if row:
             trace.append(f"forbid {_name(bit)} at {','.join(map(str, row))}")
 

@@ -38,6 +38,7 @@ from indetstr.graph import (
     _range_union,
     _regular_labels,
 )
+from indetstr.inference import _negative_rows
 
 
 def _levels_by_definition(y):
@@ -59,20 +60,38 @@ def _full_rows(y):
     return [sorted(row) for row in rows]
 
 
-def _check_neg_adj(g):
-    """g.neg_adj against its contract, from the definition and not from
-    g.neg_edges: row 1 is the zero entries, no other row holds 1, and every
-    row, with 1 put in front at a zero entry, is the full ascending row; a
-    row with nothing else in it is the shared ()."""
-    y, adj = g.y, g.neg_adj
-    full = _full_rows(y)
-    assert len(adj) == g.n + 1 and adj[0] == (), y
-    if g.n:
-        zeros = [i for i in range(2, g.n + 1) if not y[i - 1]]
-        assert adj[1] == tuple(zeros) == tuple(full[1]), y
-    for p in range(2, g.n + 1):
-        assert 1 not in adj[p], (y, p)
-        assert (1,)[: not y[p - 1]] + adj[p] == tuple(full[p]), (y, p)
+def _check_negative_rows(y):
+    """The walk's rows, _negative_rows(y), against their contract, from the
+    definition and not from neg_edges: row 1 is the zero entries, no other
+    row holds 1, and every row, with 1 put in front at a zero entry, is the
+    full ascending row; every row is a tuple."""
+    rows, full, n = _negative_rows(y), _full_rows(y), len(y)
+    assert len(rows) == n + 1 and rows[0] == (), y
+    if n:
+        zeros = [i for i in range(2, n + 1) if not y[i - 1]]
+        assert rows[1] == tuple(zeros) == tuple(full[1]), y
+    for p in range(2, n + 1):
+        assert 1 not in rows[p], (y, p)
+        assert (1,)[: not y[p - 1]] + rows[p] == tuple(full[p]), (y, p)
+
+
+def _sparse_shape_table(n, rng):
+    """The prefix table of the benchmark's sparse shape: a random string
+    over 4 symbols, one letter in ten a two-symbol set."""
+    x = tuple(
+        tuple(rng.sample((1, 2, 3, 4), 2)) if rng.random() < 0.1 else (rng.randint(1, 4),)
+        for _ in range(n)
+    )
+    return compute_prefix_table(x)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of that call, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _check_forbid_lines(y):
@@ -140,13 +159,11 @@ class TestBuildPrefixGraph:
     def test_neg_adjacency_mirrors_edges(self):
         # full rows (2,5) (1,5) (5,) () (1,2,3); vertex 1 is kept apart, so
         # the zero entries 2 and 5 store theirs without it
-        g = build_prefix_graph((5, 0, 2, 1, 0))
-        assert g.neg_adj == ((), (2, 5), (5,), (5,), (), (2, 3))
-        _check_neg_adj(g)
+        assert _negative_rows((5, 0, 2, 1, 0)) == [(), (2, 5), (5,), (5,), (), (2, 3)]
+        _check_negative_rows((5, 0, 2, 1, 0))
         # a zero entry with no other neighbour has the shared empty row
-        g = build_prefix_graph((4, 0, 0, 0))
-        assert g.neg_adj == ((), (2, 3, 4), (), (), ())
-        _check_neg_adj(g)
+        assert _negative_rows((4, 0, 0, 0)) == [(), (2, 3, 4), (), (), ()]
+        _check_negative_rows((4, 0, 0, 0))
 
     def test_edge_counts_exhaustive(self):
         for n in range(7):
@@ -172,24 +189,36 @@ class TestBuildPrefixGraph:
         # must be the sorted row of the definition, vertex 1 kept apart
         for n in range(8):
             for y in enumerate_feasible(n):
-                _check_neg_adj(build_prefix_graph(y))
+                _check_negative_rows(y)
 
     def test_neg_adjacency_at_workload_shapes(self):
         # vertex 1 of the first array has over 2,000 neighbours, and each
         # array has rows that mix smaller and larger neighbours
         for y in _workload_shape_arrays():
-            _check_neg_adj(build_prefix_graph(y))
+            _check_negative_rows(y)
         # every entry i >= 2 but the last gives vertex n the smaller
         # neighbour n+1-i, so its row grows one neighbour at a time
         n = 300
         y = (n, *range(n - 2, -1, -1))
-        assert len(build_prefix_graph(y).neg_adj[n]) == n - 2
-        _check_neg_adj(build_prefix_graph(y))
+        assert len(_negative_rows(y)[n]) == n - 2
+        _check_negative_rows(y)
         # on the random string most zero entries have no neighbour but 1
         y = _workload_shape_arrays()[0]
-        adj = build_prefix_graph(y).neg_adj
+        rows = _negative_rows(y)
         zeros = [p for p in range(2, len(y) + 1) if not y[p - 1]]
-        assert 2 * sum(adj[p] == () for p in zeros) > len(zeros)
+        assert 2 * sum(rows[p] == () for p in zeros) > len(zeros)
+
+    def test_negative_rows_memory_grows_linearly(self):
+        # the walk's rows on the sparse shape list each of the at most n-1
+        # negative edges at most twice, so doubling n from 2,000 to 4,000
+        # about doubles the tracemalloc peak, where an n-by-n table would
+        # about quadruple it
+        rng = random.Random("negative_rows:sparse")
+
+        def peak(n):
+            return _traced_peak(_negative_rows, _sparse_shape_table(n, rng))[1]
+
+        assert peak(4000) < 2.5 * peak(2000)
 
     def test_negative_levels_by_definition(self):
         for n in range(9):
@@ -325,21 +354,12 @@ class TestRegularity:
 
         def peak(n):
             if shape == "sparse":
-                # the benchmark's sparse shape: a random string over 4
-                # symbols, one letter in ten a two-symbol set
-                x = tuple(
-                    tuple(rng.sample((1, 2, 3, 4), 2)) if rng.random() < 0.1 else (rng.randint(1, 4),)
-                    for _ in range(n)
-                )
-                y = compute_prefix_table(x)
+                y = _sparse_shape_table(n, rng)
             else:
                 y = gen_random_feasible(n, rng)
-            tracemalloc.start()
-            try:
-                assert not is_regular(y)[0]
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            (ok, _), peak = _traced_peak(is_regular, y)
+            assert not ok
+            return peak
 
         assert peak(4000) < 3 * peak(2000)
 
@@ -495,9 +515,8 @@ class TestEdgeFreePaths:
 
     @pytest.mark.usefixtures("no_neg_edges")
     def test_walk_reads_no_negative_edge_list(self):
-        g = build_prefix_graph((5, 0, 2, 1, 0))
-        assert g.neg_adj == ((), (2, 5), (5,), (5,), (), (2, 3))
-        _check_neg_adj(g)
+        assert _negative_rows((5, 0, 2, 1, 0)) == [(), (2, 5), (5,), (5,), (), (2, 3)]
+        _check_negative_rows((5, 0, 2, 1, 0))
         assert infer((5, 0, 2, 1, 0)) == s("a b a {a,b} c")
 
     @pytest.mark.usefixtures("no_pos_edges", "no_neg_edges")

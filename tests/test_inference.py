@@ -25,7 +25,8 @@ from indetstr import (
     is_regular,
     symbols_used,
 )
-from test_graph import _unreadable
+from indetstr import inference as inference_module
+from test_graph import _traced_peak, _unreadable
 
 GOLDEN_TRACE_50210 = [
     "edge (1,3)",
@@ -285,13 +286,31 @@ class TestRegularFastPath:
         assert infer(y) == infer_with_trace(y)[0]
 
     def test_builds_no_edges(self, monkeypatch):
+        def no_rows(y):
+            raise AssertionError("negative edges were built")
+
         monkeypatch.setattr(PrefixGraph, "pos_edges", _unreadable("positive"))
         monkeypatch.setattr(PrefixGraph, "neg_edges", _unreadable("negative"))
-        monkeypatch.setattr(PrefixGraph, "neg_adj", _unreadable("negative"))
+        monkeypatch.setattr(inference_module, "_negative_rows", no_rows)
         assert infer((8, 0, 1, 0, 3, 0, 1, 0)) == s("a b a c a b a d")
         assert infer((4, 3, 2, 1)) == s("a a a a")
         with pytest.raises(AssertionError, match="edges were built"):
             infer((5, 0, 2, 1, 0))
+
+    @pytest.mark.parametrize("word", ["a^n", "period-7"])
+    def test_memory_grows_linearly(self, word):
+        # a regular table is answered without the walk, so doubling n from
+        # 500 to 1,000 about doubles the tracemalloc peak of infer, though
+        # |E+| is Θ(n²) on both words; the positive edges would about
+        # quadruple it
+        period = "a" if word == "a^n" else "abacbcb"
+
+        def peak(n):
+            y = word_table((period * n)[:n])
+            assert is_regular(y)[0]
+            return _traced_peak(infer, y)[1]
+
+        assert peak(1000) < 2.5 * peak(500)
 
     def test_scale(self):
         # the walk would visit about 2*10^8 positive edges on each of these
