@@ -13,25 +13,22 @@ import math
 import random
 import time
 
-from .core import compute_prefix_table
-from .graph import _negative_levels, _read_only
+from .core import _Record, compute_prefix_table
+from .graph import _negative_levels
 from .inference import infer
 
 CSV_HEADER = "n,trials,mean_us,median_us,max_us,mean_sigma,mean_pos_edges,mean_neg_edges"
 
 
-class BenchConfig:
-    """The lengths, trials per length and seed of one bench run.
+class BenchConfig(_Record):
+    """The lengths, trials per length and seed of one bench run: a _Record,
+    immutable and equal to another with the same three fields.
 
     Raises ValueError at construction unless lengths is nonempty and
-    strictly ascending with every n >= 1 and trials >= 1.  A config is
-    immutable: setting or deleting any attribute raises AttributeError.
-    Two configs are equal, and hash alike, when all three fields are; the
-    repr is BenchConfig(lengths=(4, 6, 9), trials=3, seed=5).
+    strictly ascending with every n >= 1 and trials >= 1.
     """
 
     __match_args__ = ("lengths", "trials", "seed")
-    __setattr__ = __delattr__ = _read_only
     lengths: tuple[int, ...]
     trials: int
     seed: int
@@ -44,20 +41,6 @@ class BenchConfig:
         if trials < 1:
             raise ValueError("trials must be >= 1")
         self.__dict__.update(lengths=lengths, trials=trials, seed=seed)
-
-    def _key(self) -> tuple[tuple[int, ...], int, int]:
-        return self.lengths, self.trials, self.seed
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"BenchConfig(lengths={self.lengths!r}, trials={self.trials!r}, seed={self.seed!r})"
 
 
 def gen_random_feasible(n: int, rng: random.Random) -> tuple[int, ...]:

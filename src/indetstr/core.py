@@ -303,6 +303,40 @@ def compute_prefix_table(x: Iterable[Letter]) -> FeasibleArray:
     return tuple(_prefix_entries(tuple(x)))
 
 
+class _Record:
+    """Base of the immutable records PrefixGraph and BenchConfig, whose
+    fields are the names in __match_args__; a subclass's __init__ sets
+    each once, through __dict__.
+
+    Setting or deleting any attribute raises AttributeError.  Two records
+    are equal, and hash alike, when they have the same class and equal
+    fields; anything else in __dict__, such as a cached view, plays no
+    part.  The repr names every field, as in PrefixGraph(y=(3, 0, 0)).
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__match_args__, self._fields())
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
 class TableCheck(NamedTuple):
     """Outcome of the two-condition prefix-table verification.
 

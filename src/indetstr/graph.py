@@ -19,9 +19,11 @@ by level, grouped by the smaller end and already in (u, v) order:
 _positive_levels and _negative_levels, the one statement of the
 negative-edge rule that every reader of a negative edge goes through.
 
-build_prefix_graph is the one feasibility check on the graph's paths: infer,
-is_regular and the graph command build the graph from the array here, so
-each raises FeasibleArrayError for an infeasible array.
+PrefixGraph's constructor is the one feasibility check on the graph's
+paths: it stores validate_feasible(y), so no graph holds an infeasible
+array.  infer, is_regular and the graph command build the graph through
+build_prefix_graph, which only calls it, so each raises FeasibleArrayError
+for an infeasible array and validates it once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .core import FeasibleArray, IndetString, validate_feasible
+from .core import FeasibleArray, IndetString, _Record, validate_feasible
 
 Edge = tuple[int, int]
 Level = tuple[int, list[int]]  # (u, vs): the edges (u, v), v in vs, ascending
@@ -87,14 +89,12 @@ def _level_lines(
         yield hs + (tail + sep + hs).join(map(names.__getitem__, vs)) + tail
 
 
-def _read_only(self, name: str, *value: object) -> None:
-    """__setattr__ and __delattr__ of the immutable PrefixGraph and
-    BenchConfig: every field is set once, in __init__, through __dict__."""
-    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
-
-
-class PrefixGraph:
+class PrefixGraph(_Record):
     """Vertices 1..n of the feasible array y, the one stored field.
+
+    PrefixGraph(y) stores validate_feasible(y): it raises FeasibleArrayError
+    for an infeasible y, as build_prefix_graph does, and stores any other
+    as a tuple.
 
     Three views are read off y on first use and then cached, so only their
     readers pay, and no view is built from another:
@@ -113,29 +113,15 @@ class PrefixGraph:
     and the walk builds its own rows of negative neighbours from the
     negative levels (inference._negative_rows).
 
-    A graph is immutable: setting or deleting any attribute raises
-    AttributeError, and a view is cached in the instance __dict__ past
-    that check.  Two graphs are equal, and hash alike, when their arrays
-    are; the views play no part.  The repr is PrefixGraph(y=(3, 0, 0)).
+    A graph is a _Record: immutable, equal to another with the same array,
+    and a view is cached in the instance __dict__ past the read-only check.
     """
 
     __match_args__ = ("y",)
-    __setattr__ = __delattr__ = _read_only
     y: FeasibleArray
 
-    def __init__(self, y: FeasibleArray) -> None:
-        self.__dict__["y"] = y
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.y == other.y
-
-    def __hash__(self) -> int:
-        return hash((self.y,))
-
-    def __repr__(self) -> str:
-        return f"PrefixGraph(y={self.y!r})"
+    def __init__(self, y: Sequence[int]) -> None:
+        self.__dict__["y"] = validate_feasible(y)
 
     @property
     def n(self) -> int:
@@ -164,9 +150,9 @@ class PrefixGraph:
 def build_prefix_graph(y: Sequence[int]) -> PrefixGraph:
     """The prefix graph of y; no edge is built until it is read.
 
-    Raises FeasibleArrayError when y is infeasible.
+    Raises FeasibleArrayError when y is infeasible (PrefixGraph validates).
     """
-    return PrefixGraph(validate_feasible(y))
+    return PrefixGraph(y)
 
 
 def positive_components(g: PrefixGraph) -> tuple[int, ...]:

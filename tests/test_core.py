@@ -345,6 +345,32 @@ class TestComputePrefixTable:
                 assert len(set(taken[start:])) == 1, x
         assert set(taken) == {"_scan_entries", "_z_entries"}
 
+    @pytest.mark.parametrize("path", ["_z_entries", "_scan_entries"])
+    def test_memory_grows_linearly(self, monkeypatch, path):
+        # the Z-algorithm takes O(n) memory, on a random string of one-symbol
+        # letters over a-d, and the scan O(N), N the sum of letter sizes, on
+        # the benchmark's sparse shape, one letter in ten a two-symbol set.
+        # Doubling n from 2,000 to 4,000 about doubles the tracemalloc peak,
+        # where an n-by-n table would about quadruple it
+        taken = record_paths(monkeypatch)
+        rng = random.Random(f"prefix_table:{path}")
+        pairs = 0.1 if path == "_scan_entries" else 0.0
+
+        def peak(n):
+            x = tuple(
+                tuple(rng.sample((1, 2, 3, 4), 2)) if rng.random() < pairs else (rng.randint(1, 4),)
+                for _ in range(n)
+            )
+            tracemalloc.start()
+            try:
+                assert len(compute_prefix_table(x)) == n
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4000) < 2.5 * peak(2000)
+        assert set(taken) == {path}
+
     def test_list_letters_raise(self):
         # a letter is a hashable tuple of symbols
         x = [[1, 3], [2], [1]]

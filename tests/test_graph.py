@@ -363,6 +363,20 @@ class TestRegularity:
 
         assert peak(4000) < 3 * peak(2000)
 
+    @pytest.mark.parametrize("word", ["a^n", "period-7"])
+    def test_regular_memory_grows_linearly(self, word):
+        # is_regular on a regular table takes the O(n) verdict's labels, so
+        # doubling n from 2,000 to 4,000 about doubles the tracemalloc peak,
+        # where an edge list, Θ(n²) on both words, would about quadruple it
+        period = "a" if word == "a^n" else "abacbcb"
+
+        def peak(n):
+            (ok, _), peak = _traced_peak(is_regular, word_table((period * n)[:n]))
+            assert ok
+            return peak
+
+        assert peak(4000) < 2.5 * peak(2000)
+
 
 class TestRegularVerdict:
     """_regular_labels and is_regular against a scan of every negative edge
@@ -822,6 +836,17 @@ class TestIsolatedVertices:
             for y in enumerate_feasible(n):
                 assert isolated_positive_vertices(y) == _degree_zero(y), y
 
+    def test_memory_grows_linearly(self):
+        # one pass over y with O(1) state besides the answer, so doubling n
+        # from 2,000 to 4,000 about doubles the tracemalloc peak on the
+        # sparse shape, where a degree per positive edge would not
+        rng = random.Random("isolated:sparse")
+
+        def peak(n):
+            return _traced_peak(isolated_positive_vertices, _sparse_shape_table(n, rng))[1]
+
+        assert peak(4000) < 2.5 * peak(2000)
+
     @given(feasible_arrays(min_n=1, max_n=16))
     def test_verify_mode(self, y):
         assert isolated_positive_vertices(y) == _degree_zero(y)
@@ -872,6 +897,23 @@ class TestExport:
         out = export_graph(g, fmt="dot", sign="positive")
         assert "dashed" not in out
         assert "1 -- 2;" in out and "1 -- 3;" in out and "2 -- 3;" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_memory_grows_with_output(self, fmt):
+        # the export allocates about as much as it writes: on the sparse
+        # shape, |E+| is about n/2, so doubling n from 2,000 to 4,000 about
+        # doubles the text and the tracemalloc peak alike, where an n-by-n
+        # table would about quadruple the peak
+        rng = random.Random(f"export:{fmt}")
+
+        def peak_and_length(n):
+            g = build_prefix_graph(_sparse_shape_table(n, rng))
+            text, peak = _traced_peak(export_graph, g, fmt)
+            return peak, len(text)
+
+        (peak2, length2), (peak4, length4) = peak_and_length(2000), peak_and_length(4000)
+        assert length4 < 2.5 * length2
+        assert peak4 < 2.5 * peak2
 
     def test_bad_arguments(self):
         g = build_prefix_graph((3, 0, 0))

@@ -26,7 +26,7 @@ from indetstr import (
     symbols_used,
 )
 from indetstr import inference as inference_module
-from test_graph import _traced_peak, _unreadable
+from test_graph import _sparse_shape_table, _traced_peak, _unreadable
 
 GOLDEN_TRACE_50210 = [
     "edge (1,3)",
@@ -143,6 +143,24 @@ class TestRoundTrip:
     @given(feasible_arrays(min_n=30, max_n=60))
     def test_property_larger(self, y):
         assert compute_prefix_table(infer(y)) == y
+
+    def test_sparse_memory_grows_linearly(self):
+        # infer walks the sparse shape in O(n + |E+|) memory, so doubling
+        # n + |E+| about doubles the tracemalloc peak, where an n-by-n table
+        # would about quadruple it.  |E+| swings with the draw, so the size
+        # is checked too; the first walk, untraced, warms the interpreter
+        rng = random.Random("infer:sparse")
+        small, large = _sparse_shape_table(2000, rng), _sparse_shape_table(4000, rng)
+        infer(small)
+
+        def size_and_peak(y):
+            x, peak = _traced_peak(infer, y)
+            assert compute_prefix_table(x) == y
+            return len(y) + sum(y[1:]), peak
+
+        (size2, peak2), (size4, peak4) = size_and_peak(small), size_and_peak(large)
+        assert size4 < 2.5 * size2
+        assert peak4 < 2.5 * peak2
 
     def test_seeded_long_arrays(self):
         rng = random.Random(13)

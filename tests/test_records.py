@@ -8,7 +8,8 @@ import pickle
 
 import pytest
 
-from indetstr import BenchConfig, PrefixGraph, TableCheck, build_prefix_graph
+from indetstr import BenchConfig, FeasibleArrayError, PrefixGraph, TableCheck, build_prefix_graph
+from indetstr import graph as graph_module
 
 
 def _assert_equal_records(a, b):
@@ -86,6 +87,32 @@ class TestPrefixGraph:
             del g.y
         assert g.y == (3, 0, 0)
 
+    @pytest.mark.parametrize("y, index", [((1, 1, 1), 1), ((3, 5, 0), 2), ((2, 7), 2)])
+    def test_validates_as_build_prefix_graph(self, y, index):
+        errors = []
+        for build in (PrefixGraph, build_prefix_graph):
+            with pytest.raises(FeasibleArrayError) as caught:
+                build(y)
+            errors.append((caught.value.index, str(caught.value)))
+        assert errors[0] == errors[1] and errors[0][0] == index
+
+    def test_stores_a_tuple(self):
+        g = PrefixGraph([3, 0, 0])
+        assert type(g.y) is tuple
+        _assert_equal_records(g, PrefixGraph((3, 0, 0)))
+
+    def test_build_validates_once(self, monkeypatch):
+        calls = []
+
+        def counted(y):
+            calls.append(y)
+            return validate(y)
+
+        validate = graph_module.validate_feasible
+        monkeypatch.setattr(graph_module, "validate_feasible", counted)
+        build_prefix_graph([5, 0, 2, 1, 0])
+        assert calls == [[5, 0, 2, 1, 0]]
+
     def test_views_built_once(self):
         g = build_prefix_graph((8, 2, 0, 1, 4, 0, 1, 1))
         assert g.pos_edges is g.pos_edges
@@ -127,6 +154,12 @@ class TestBenchConfig:
             with pytest.raises(AttributeError):
                 setattr(cfg, name, value)
         assert cfg == BenchConfig((5, 8), 2, 1)
+
+    def test_delete(self):
+        cfg = BenchConfig((5, 8), 2, 1)
+        with pytest.raises(AttributeError):
+            del cfg.seed
+        assert cfg.seed == 1
 
     def test_copy_and_pickle(self):
         cfg = BenchConfig((5, 8), 2, 1)
