@@ -351,24 +351,29 @@ class TestComputePrefixTable:
         # letters over a-d, and the scan O(N), N the sum of letter sizes, on
         # the benchmark's sparse shape, one letter in ten a two-symbol set.
         # Doubling n from 2,000 to 4,000 about doubles the tracemalloc peak,
-        # where an n-by-n table would about quadruple it
+        # where an n-by-n table would about quadruple it; the first call,
+        # untraced, warms the interpreter
         taken = record_paths(monkeypatch)
         rng = random.Random(f"prefix_table:{path}")
         pairs = 0.1 if path == "_scan_entries" else 0.0
-
-        def peak(n):
-            x = tuple(
+        small, large = (
+            tuple(
                 tuple(rng.sample((1, 2, 3, 4), 2)) if rng.random() < pairs else (rng.randint(1, 4),)
                 for _ in range(n)
             )
+            for n in (2000, 4000)
+        )
+        compute_prefix_table(small)
+
+        def peak(x):
             tracemalloc.start()
             try:
-                assert len(compute_prefix_table(x)) == n
+                assert len(compute_prefix_table(x)) == len(x)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert peak(4000) < 2.5 * peak(2000)
+        assert peak(large) < 2.5 * peak(small)
         assert set(taken) == {path}
 
     def test_list_letters_raise(self):

@@ -367,15 +367,18 @@ class TestRegularity:
     def test_regular_memory_grows_linearly(self, word):
         # is_regular on a regular table takes the O(n) verdict's labels, so
         # doubling n from 2,000 to 4,000 about doubles the tracemalloc peak,
-        # where an edge list, Θ(n²) on both words, would about quadruple it
+        # where an edge list, Θ(n²) on both words, would about quadruple it;
+        # the first call, untraced, warms the interpreter
         period = "a" if word == "a^n" else "abacbcb"
+        small, large = (word_table((period * n)[:n]) for n in (2000, 4000))
+        is_regular(small)
 
-        def peak(n):
-            (ok, _), peak = _traced_peak(is_regular, word_table((period * n)[:n]))
+        def peak(y):
+            (ok, _), peak = _traced_peak(is_regular, y)
             assert ok
             return peak
 
-        assert peak(4000) < 2.5 * peak(2000)
+        assert peak(large) < 2.5 * peak(small)
 
 
 class TestRegularVerdict:
@@ -839,13 +842,16 @@ class TestIsolatedVertices:
     def test_memory_grows_linearly(self):
         # one pass over y with O(1) state besides the answer, so doubling n
         # from 2,000 to 4,000 about doubles the tracemalloc peak on the
-        # sparse shape, where a degree per positive edge would not
+        # sparse shape, where an n-by-n table would about quadruple it; the
+        # first call, untraced, warms the interpreter
         rng = random.Random("isolated:sparse")
+        small, large = _sparse_shape_table(2000, rng), _sparse_shape_table(4000, rng)
+        isolated_positive_vertices(small)
 
-        def peak(n):
-            return _traced_peak(isolated_positive_vertices, _sparse_shape_table(n, rng))[1]
+        def peak(y):
+            return _traced_peak(isolated_positive_vertices, y)[1]
 
-        assert peak(4000) < 2.5 * peak(2000)
+        assert peak(large) < 2.5 * peak(small)
 
     @given(feasible_arrays(min_n=1, max_n=16))
     def test_verify_mode(self, y):
@@ -903,15 +909,17 @@ class TestExport:
         # the export allocates about as much as it writes: on the sparse
         # shape, |E+| is about n/2, so doubling n from 2,000 to 4,000 about
         # doubles the text and the tracemalloc peak alike, where an n-by-n
-        # table would about quadruple the peak
+        # table would about quadruple the peak; the first export, untraced,
+        # warms the interpreter
         rng = random.Random(f"export:{fmt}")
+        small, large = (build_prefix_graph(_sparse_shape_table(n, rng)) for n in (2000, 4000))
+        export_graph(small, fmt)
 
-        def peak_and_length(n):
-            g = build_prefix_graph(_sparse_shape_table(n, rng))
+        def peak_and_length(g):
             text, peak = _traced_peak(export_graph, g, fmt)
             return peak, len(text)
 
-        (peak2, length2), (peak4, length4) = peak_and_length(2000), peak_and_length(4000)
+        (peak2, length2), (peak4, length4) = peak_and_length(small), peak_and_length(large)
         assert length4 < 2.5 * length2
         assert peak4 < 2.5 * peak2
 
